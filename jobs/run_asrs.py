@@ -1,11 +1,19 @@
 """General ASRS entrypoint: run one attribute-aware similar-region query
-end-to-end with the *distributed* GI-DS dataflow (index build via
-groupBy/window, parallel applyInPandas candidate-cell scan).
+end-to-end with the *distributed* GI-DS dataflow (index build from one
+groupBy collect plus NumPy suffix sums, then a cell scan hash-partitioned
+over every core with mapInPandas). Cell searches measure their own GPS
+accuracies; a task-local gap is never below the global one, so the
+answer stays exact.
+
+Besides the result table, prints the query's ``DistributedStats`` as one
+JSON line (cells, seed distance, spaces processed, scan tasks).
 
 Run: spark-submit jobs/run_asrs.py [n] [k] [delta]
 """
 from __future__ import annotations
 
+import dataclasses
+import json
 import sys
 
 from pyspark.sql import DataFrame, SparkSession
@@ -33,6 +41,7 @@ def run(
         d, (px, py), stats = gi_ds_distributed(
             sdf, f1_aggregator(), qrep, w, a, b, sx=64, sy=64, delta=delta
         )
+    print(json.dumps({"wall_ms": round(t.ms, 1), **dataclasses.asdict(stats)}))
     rows = [
         {
             "n": n,

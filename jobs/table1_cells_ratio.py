@@ -3,7 +3,7 @@
 Paper setting: Tweet-100M, composite aggregator F1, grid-index
 granularities 64x64 / 128x128 / 256x256, query sizes q / 4q / 7q / 10q.
 Ours: Tweet-100K (scaled substitute; see DESIGN.md section 3). The
-index is built distributively (groupBy + window suffix sums); the scan
+index is built distributively (groupBy + NumPy suffix sums); the scan
 ratio is measured with the sequential GI-DS driver, whose best-first
 short-circuit is what the table characterises.
 

@@ -74,6 +74,27 @@ class GridIndex:
         return s
 
 
+def suffix_summaries(
+    ci: np.ndarray, cj: np.ndarray, W: np.ndarray, sx: int, sy: int
+) -> np.ndarray:
+    """Dense attribute summaries from cell-tagged channel rows.
+
+    Row ``r`` adds ``W[r]`` (one value per channel, the plain count
+    last) to cell ``(ci[r], cj[r])``; rows may be objects or per-cell
+    totals. Returns the ``(C+1, sx+1, sy+1)`` suffix sums of
+    ``GridIndex.suffix``.
+    """
+    C1 = W.shape[1]
+    lin = ci * sy + cj
+    planes = np.zeros((C1, sx * sy))
+    for c in range(C1):
+        planes[c] = np.bincount(lin, weights=W[:, c], minlength=sx * sy)
+    planes = planes.reshape(C1, sx, sy)
+    suffix = np.zeros((C1, sx + 1, sy + 1))
+    suffix[:, :sx, :sy] = planes[:, ::-1, ::-1].cumsum(1).cumsum(2)[:, ::-1, ::-1]
+    return suffix
+
+
 def build_grid_index(
     objects: pd.DataFrame,
     F: CompositeAggregator,
@@ -94,14 +115,7 @@ def build_grid_index(
     cj = np.clip(((y - y0) / ch).astype(np.int64), 0, sy - 1)
     prepared = F.prepare(objects)
     W = np.concatenate([prepared.weights, np.ones((len(x), 1))], axis=1)
-    C1 = W.shape[1]
-    lin = ci * sy + cj
-    planes = np.zeros((C1, sx * sy))
-    for c in range(C1):
-        planes[c] = np.bincount(lin, weights=W[:, c], minlength=sx * sy)
-    planes = planes.reshape(C1, sx, sy)
-    suffix = np.zeros((C1, sx + 1, sy + 1))
-    suffix[:, :sx, :sy] = planes[:, ::-1, ::-1].cumsum(1).cumsum(2)[:, ::-1, ::-1]
+    suffix = suffix_summaries(ci, cj, W, sx, sy)
     return GridIndex(
         sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=ch, suffix=suffix, prepared=prepared
     )

@@ -8,9 +8,11 @@ The paper's contribution is a search algorithm, not a planner rule, so
   ``groupBy`` aggregations (checked against the DuckDB oracle);
 - ``cellify``: grid-cell assignment and the reduced-rectangle ->
   candidate-cell explosion (the geo-partitioning of the scan);
-- ``summaries``: the grid index's attribute summary tables built with
-  ``groupBy`` + window suffix-cumulative-sums;
+- ``summaries``: the grid index's attribute summary tables: one
+  ``groupBy(ci, cj)`` collect, suffix-summed in NumPy on the driver;
 - ``search``: the distributed GI-DS scan — candidate index cells are
-  pruned with driver-side lower bounds, then searched in parallel with
-  the DS-Search kernel inside ``applyInPandas`` tasks.
+  pruned with driver-side lower bounds, then hash-partitioned over every
+  core and searched with the DS-Search kernel inside ``mapInPandas``
+  tasks. Each search measures its own GPS accuracy; a task-local gap is
+  never below the global one, so the answer stays exact.
 """

@@ -1,21 +1,34 @@
 """Distributed GI-DS: the parallel candidate-region scan.
 
-Dataflow (the ``distributed_dataflow`` shape of the reproduction):
+Dataflow (the ``distributed_dataflow`` shape of the reproduction). Spark
+does only what needs the partitioned objects: one ``groupBy`` and the
+per-cell scan.
 
-1. **Index build** (Spark): per-cell channel sums via ``groupBy`` and
-   suffix summaries via window cumulative sums (``spark.summaries``).
+1. **Index build** (Spark + driver): per-cell channel sums via one
+   ``groupBy(ci, cj)``, collected (at most ``sx*sy`` rows) and turned into
+   suffix summaries with NumPy (``spark.summaries``).
 2. **Prune** (driver): Section-5.3 lower bounds for every candidate
-   cell from the collected summary planes — O(sx*sy) NumPy work.
+   cell from the summary planes — O(sx*sy) NumPy work.
 3. **Seed** (driver): run DS-Search on the single most promising cell
    (its objects fetched with one filter) to obtain an incumbent
    distance ``d_seed``.
-4. **Parallel scan** (Spark): objects are exploded to the surviving
-   candidate cells (``cellify``), grouped by cell, and each group runs
-   the DS-Search kernel inside an ``applyInPandas`` task seeded with
-   ``d_seed``. Every task is an independent, exact cell-restricted
-   search (rectangles not overlapping a cell cannot cover any of its
-   locations — the paper's locality property), so the global minimum of
-   the task results and the seed is the exact answer.
+4. **Parallel scan** (Spark): objects are exploded to the candidate
+   cells (``cellify``) and joined with the broadcast table of surviving
+   cells. The rows are hash-partitioned by cell into
+   ``defaultParallelism`` partitions, so every core gets work; each
+   ``mapInPandas`` task loops over its cells and runs the DS-Search
+   kernel on each, seeded with ``d_seed``. Every cell search is an
+   independent, exact cell-restricted search (rectangles not
+   overlapping a cell cannot cover any of its locations — the paper's
+   locality property), so the global minimum of the cell results and
+   the seed is the exact answer.
+
+GPS accuracies (Definition 7): unless the caller passes ``accuracy``,
+the seed and every cell search measure their own minimum edge gap in
+``build_asp``. A subset's gap is never smaller than the global gap, and
+a larger accuracy only makes DS-Search switch earlier from splitting to
+exact in-cell enumeration (see ``core.dssearch``), so the result stays
+exact without a global pass over the data.
 
 Divergence from the sequential Algorithm 2, by design: the sequential
 scan threads a monotonically improving ``dopt`` through the cells,
@@ -26,11 +39,13 @@ against the driver implementation and brute force).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark import TaskContext
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as sf
 
 from repro.core.aggregators import CompositeAggregator, prepare_meta
@@ -43,7 +58,7 @@ from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
 _RESULT_SCHEMA = (
-    "ci long, cj long, dist double, px double, py double, spaces long"
+    "ci long, cj long, dist double, px double, py double, spaces long, task int"
 )
 
 
@@ -51,7 +66,11 @@ def edge_accuracies(df: DataFrame, a: float, b: float) -> tuple[float, float]:
     """GPS horizontal/vertical accuracies (Definition 7) as a Spark job:
     min positive gap between distinct rectangle-edge coordinates, via a
     lag window over the sorted distinct values. (The single-partition
-    window is acceptable: there are at most 2n distinct edge values.)"""
+    window is acceptable: there are at most 2n distinct edge values.)
+
+    ``gi_ds_distributed`` does not call this: its seed and cell searches
+    measure task-local gaps, which are never smaller. Pass the result as
+    ``accuracy=`` to search with the global accuracies instead."""
 
     def gap(col: str, shift: float) -> float:
         edges = (
@@ -74,12 +93,17 @@ def edge_accuracies(df: DataFrame, a: float, b: float) -> tuple[float, float]:
 
 @dataclass
 class DistributedStats:
-    """Driver-side counters for the distributed scan."""
+    """Counters for the distributed scan: driver-side, plus per-task
+    counters summed over the scan tasks."""
 
     total_cells: int = 0
     candidate_cells: int = 0
     seed_dist: float = float("inf")
     index_bytes: int = 0
+    #: DS-Search spaces processed by the scan tasks, summed over tasks
+    spaces_processed: int = 0
+    #: distinct scan partitions that searched at least one cell
+    scan_tasks: int = 0
 
 
 def gi_ds_distributed(
@@ -99,7 +123,11 @@ def gi_ds_distributed(
     accuracy: tuple[float, float] | None = None,
 ) -> tuple[float, tuple[float, float], DistributedStats]:
     """Exact (or, with ``delta > 0``, (1+delta)-approximate) ASRS over a
-    Spark DataFrame of objects. Returns ``(dopt, popt, stats)``."""
+    Spark DataFrame of objects. Returns ``(dopt, popt, stats)``.
+
+    ``accuracy`` fixes the GPS accuracies ``(dx, dy)`` of every search;
+    by default each search measures its own (see the module docstring).
+    """
     spark = df.sparkSession
     query_rep = np.asarray(query_rep, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -109,7 +137,6 @@ def gi_ds_distributed(
         from repro.spark.aggregates import resolve_domains
 
         F = resolve_domains(df, F)
-    dx, dy = accuracy if accuracy is not None else edge_accuracies(df, a, b)
 
     ii, jj, lbs = candidate_cell_bounds(index, query_rep, weights, a, b)
     meta = prepare_meta(
@@ -148,7 +175,7 @@ def gi_ds_distributed(
         cell = cell_space(int(ii[seed_c]), int(jj[seed_c]))
         local = fetch_cell_objects(cell)
         if len(local):
-            prob = build_asp(local, F, query_rep, weights, a, b, accuracy=(dx, dy))
+            prob = build_asp(local, F, query_rep, weights, a, b, accuracy=accuracy)
             dopt, popt, _ = ds_search(
                 prob, cell, ncol=ncol, nrow=nrow, delta=delta,
                 init=(dopt, popt), include_empty=False,
@@ -165,34 +192,43 @@ def gi_ds_distributed(
     cand_pdf = pd.DataFrame(
         {"ci": ii[survive].astype("int64"), "cj": jj[survive].astype("int64")}
     )
-    cand_sdf = spark.createDataFrame(cand_pdf)
+    cand_sdf = sf.broadcast(spark.createDataFrame(cand_pdf))
     mi = max(0, -int(ii.min()))
     mj = max(0, -int(jj.min()))
     exploded = explode_to_candidate_cells(
         df, a, b, index.x0, index.y0, index.cw, index.ch, index.sx, index.sy, mi, mj
     )
-    tasks = exploded.join(cand_sdf, ["ci", "cj"], "inner")
+    tasks = exploded.join(cand_sdf, ["ci", "cj"], "inner").repartition(
+        spark.sparkContext.defaultParallelism, "ci", "cj"
+    )
 
     x0, y0, cw, ch = index.x0, index.y0, index.cw, index.ch
     seed_dopt = dopt
 
-    def kernel(key, pdf: pd.DataFrame) -> pd.DataFrame:
-        i, j = int(key[0]), int(key[1])
-        cell = Space(x0 + i * cw, x0 + (i + 1) * cw, y0 + j * ch, y0 + (j + 1) * ch)
-        prob = build_asp(
-            pdf.drop(columns=["ci", "cj"]), F, query_rep, weights, a, b,
-            accuracy=(dx, dy),
-        )
-        d, (px, py), st = ds_search(
-            prob, cell, ncol=ncol, nrow=nrow, delta=delta,
-            init=(seed_dopt, (np.nan, np.nan)), include_empty=False,
-        )
-        return pd.DataFrame(
-            [[i, j, d, px, py, st.spaces_processed]],
-            columns=["ci", "cj", "dist", "px", "py", "spaces"],
+    def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        frames = list(batches)
+        if not frames:
+            return
+        task = TaskContext.get().partitionId()
+        rows = []
+        for (i, j), objs in pd.concat(frames).groupby(["ci", "cj"]):
+            cell = Space(x0 + i * cw, x0 + (i + 1) * cw, y0 + j * ch, y0 + (j + 1) * ch)
+            prob = build_asp(
+                objs.drop(columns=["ci", "cj"]), F, query_rep, weights, a, b,
+                accuracy=accuracy,
+            )
+            d, (px, py), st = ds_search(
+                prob, cell, ncol=ncol, nrow=nrow, delta=delta,
+                init=(seed_dopt, (np.nan, np.nan)), include_empty=False,
+            )
+            rows.append((i, j, d, px, py, st.spaces_processed, task))
+        yield pd.DataFrame(
+            rows, columns=["ci", "cj", "dist", "px", "py", "spaces", "task"]
         )
 
-    results = tasks.groupBy("ci", "cj").applyInPandas(kernel, _RESULT_SCHEMA).toPandas()
+    results = tasks.mapInPandas(scan, _RESULT_SCHEMA).toPandas()
+    stats.spaces_processed = int(results["spaces"].sum())
+    stats.scan_tasks = int(results["task"].nunique())
     if len(results):
         k = int(results["dist"].idxmin())
         if results.loc[k, "dist"] < dopt:

@@ -1,24 +1,25 @@
-"""Grid-index attribute summaries via groupBy + window suffix sums.
+"""Grid-index attribute summaries: one ``groupBy`` on Spark, suffix sums
+in NumPy.
 
 The paper's attribute summary table of cell ``g(i,j)`` covers all
-objects in ``G[i..inf][j..inf]`` — a 2-D suffix sum. Here that is
-computed as a Catalyst dataflow: per-object channel columns (the same
-channelisation as ``core.aggregators``), a ``groupBy(ci, cj)``
-aggregation onto the grid, and two window passes of descending
-cumulative sums (over ``ci`` within ``cj``, then over ``cj`` within
-``ci``) that turn cell totals into suffix totals. The resulting planes
-are collected (at most ``sx * sy`` rows, e.g. 256^2 = 65k) into the
-same ``GridIndex`` structure the driver-side search uses — verified
-bit-equal to the NumPy build in the test suite.
+objects in ``G[i..inf][j..inf]`` — a 2-D suffix sum. Spark computes
+what needs the partitioned objects: per-object channel columns (the
+same channelisation as ``core.aggregators``) aggregated by
+``groupBy(ci, cj)`` onto the grid. Only non-empty cells come back, at
+most ``sx * sy`` rows (e.g. 256^2 = 65k), in one ``toPandas``. The
+driver scatters them into zero-initialised planes and takes the suffix
+sums with ``core.gridindex.suffix_summaries``, the code the NumPy build
+uses, so both builds yield the same ``GridIndex`` (checked in the test
+suite).
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as sf
 
 from repro.core.aggregators import CompositeAggregator, prepare_meta
-from repro.core.gridindex import GridIndex
+from repro.core.gridindex import GridIndex, suffix_summaries
 from repro.spark.aggregates import gamma_cond, resolve_domains
 from repro.spark.cellify import with_cell_ids
 
@@ -99,44 +100,15 @@ def cell_channel_sums(
     sy: int,
     minmax: dict[int, tuple[float, float]] | None = None,
 ) -> DataFrame:
-    """Channel totals per grid cell: the groupBy half of the summary build.
-    Missing cells are filled with zeros via a dense grid scaffold."""
-    spark = df.sparkSession
+    """Channel totals per non-empty grid cell: the ``groupBy`` half of the
+    summary build. Cells without objects have no row."""
     if minmax is None:
         minmax = avg_spec_minmax(df, F)
     cols = channel_exprs(F, minmax)
     tagged = with_cell_ids(df.select("*", *cols), x0, y0, cw, ch, sx, sy)
-    ch_names = [f"ch_{k}" for k in range(len(cols))]
-    sums = tagged.groupBy("ci", "cj").agg(
-        *[sf.sum(c).alias(c) for c in ch_names]
+    return tagged.groupBy("ci", "cj").agg(
+        *[sf.sum(f"ch_{k}").alias(f"ch_{k}") for k in range(len(cols))]
     )
-    scaffold = (
-        spark.range(sx)
-        .withColumnRenamed("id", "ci")
-        .crossJoin(spark.range(sy).withColumnRenamed("id", "cj"))
-    )
-    return scaffold.join(sums, ["ci", "cj"], "left").na.fill(0.0, ch_names)
-
-
-def suffix_sums(cells: DataFrame, n_channels: int) -> DataFrame:
-    """Two descending cumulative-sum window passes: cell totals ->
-    2-D suffix totals (the dense attribute summary tables)."""
-    ch_names = [f"ch_{k}" for k in range(n_channels)]
-    w1 = (
-        Window.partitionBy("cj")
-        .orderBy(sf.desc("ci"))
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    )
-    for c in ch_names:
-        cells = cells.withColumn(c, sf.sum(c).over(w1))
-    w2 = (
-        Window.partitionBy("ci")
-        .orderBy(sf.desc("cj"))
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    )
-    for c in ch_names:
-        cells = cells.withColumn(c, sf.sum(c).over(w2))
-    return cells
 
 
 def avg_spec_minmax(df: DataFrame, F: CompositeAggregator) -> dict[int, tuple[float, float]]:
@@ -183,15 +155,14 @@ def build_grid_index_spark(
     cw = (x1 - x0) / sx if x1 > x0 else 1.0
     chh = (y1 - y0) / sy if y1 > y0 else 1.0
     mm = avg_spec_minmax(df, F)
-    n_channels = len(channel_exprs(F, mm))
-    cells = cell_channel_sums(df, F, x0, y0, cw, chh, sx, sy, minmax=mm)
-    suf = suffix_sums(cells, n_channels)
-    pdf = suf.toPandas()
-    suffix = np.zeros((n_channels, sx + 1, sy + 1))
-    ci = pdf["ci"].to_numpy(dtype=np.int64)
-    cj = pdf["cj"].to_numpy(dtype=np.int64)
-    for k in range(n_channels):
-        suffix[k, ci, cj] = pdf[f"ch_{k}"].to_numpy(dtype=np.float64)
+    pdf = cell_channel_sums(df, F, x0, y0, cw, chh, sx, sy, minmax=mm).toPandas()
+    suffix = suffix_summaries(
+        pdf["ci"].to_numpy(dtype=np.int64),
+        pdf["cj"].to_numpy(dtype=np.int64),
+        pdf.drop(columns=["ci", "cj"]).to_numpy(dtype=np.float64),
+        sx,
+        sy,
+    )
     prepared = prepare_meta(F, minmax=mm)
     index = GridIndex(
         sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=chh, suffix=suffix, prepared=prepared

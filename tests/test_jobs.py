@@ -5,6 +5,7 @@ hold."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -83,8 +84,18 @@ def test_fig11_job(spark):
     assert (pdf["ds_ms"] > 0).all()
 
 
-def test_run_asrs_job(spark):
+def test_run_asrs_job(spark, capsys):
     df = load("run_asrs").run(spark, n=3_000, k=10.0)
     row = df.toPandas().iloc[0]
     assert row["distance"] >= 0
     assert row["region_x1"] - row["region_x0"] > 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert stats["total_cells"] == row["total_cells"]
+    assert stats["candidate_cells"] == row["candidate_cells"]
+    assert stats["seed_dist"] >= row["distance"] - 1e-4  # distance is rounded
+    assert stats["wall_ms"] > 0
+    if stats["candidate_cells"]:
+        assert stats["scan_tasks"] >= 1
+        assert stats["spaces_processed"] >= stats["candidate_cells"]

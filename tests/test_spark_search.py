@@ -1,14 +1,19 @@
-"""Distributed GI-DS (applyInPandas scan): must agree with the driver
+"""Distributed GI-DS (mapInPandas cell scan): must agree with the driver
 GI-DS, plain DS-Search, and brute force."""
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import ds_search
+from repro.core.geometry import Space
 from repro.core.gridindex import gi_ds
-from repro.core.reduction import build_asp
+from repro.core.reduction import build_asp, min_gap, query_representation
 from repro.spark.search import edge_accuracies, gi_ds_distributed
 from tests.conftest import aggregator_zoo, random_objects, random_query
 
@@ -85,3 +90,81 @@ class TestDistributedGIDS:
         )
         expected, _ = brute_force_asp(build_asp(pdf, F, qrep, w, a, b))
         assert got == pytest.approx(expected, abs=1e-8)
+
+
+def split_gap_instance():
+    """Lattice objects plus two off-lattice objects ``A`` and ``B`` whose
+    x-coordinates are 1e-6 apart, at opposite ends of the y-range.
+
+    With ``a`` and ``b`` lattice multiples every other edge gap is at
+    least 0.1, so the global minimum x-gap is the ``A``/``B`` gap, while
+    on a 6x6 grid no candidate cell receives both objects: every cell
+    search measures a larger, task-local gap.
+    """
+    pdf = random_objects(np.random.default_rng(21), 80)
+    a = b = 1.0
+    xa = 2.1
+    y_lo, y_hi = float(pdf["y"].min()), float(pdf["y"].max())
+    pair = pd.DataFrame(
+        {"x": [xa, xa + 1e-6], "y": [y_lo + 0.1, y_hi - 0.1],
+         "color": ["red", "blue"], "val": [1.0, 2.0]}
+    )
+    return pd.concat([pdf, pair], ignore_index=True), a, b
+
+
+class TestTaskLocalAccuracy:
+    """The scan measures GPS accuracies per cell search; a cell's gap is
+    never below the global one, so the answer must stay exact."""
+
+    @pytest.mark.parametrize("f", [0, 4])
+    def test_global_gap_split_across_cells(self, spark, f):
+        pdf, a, b = split_gap_instance()
+        F = aggregator_zoo()[f]
+        x, y = pdf["x"].to_numpy(), pdf["y"].to_numpy()
+        assert min_gap(np.concatenate([x, x - a])) == pytest.approx(1e-6, rel=1e-3)
+        # A's rectangle and B's rectangle reach no common grid row
+        sy = 6
+        y0, ch = y.min(), (y.max() - y.min()) / sy
+        assert math.floor((y[-2] - y0) / ch) < math.floor((y[-1] - b - y0) / ch)
+
+        qrep = query_representation(
+            pdf, F, Space(x[-1] - 0.5, x[-1] + 0.5, y[-1] - 0.5, y[-1] + 0.5)
+        )
+        w = np.ones(len(qrep))
+        prob = build_asp(pdf, F, qrep, w, a, b)
+        expected, _ = brute_force_asp(prob)
+        sdf = spark.createDataFrame(pdf)
+        acc = edge_accuracies(sdf, a, b)
+        assert acc[0] == pytest.approx(1e-6, rel=1e-3)
+        for accuracy in (None, acc):
+            got, pt, _ = gi_ds_distributed(
+                sdf, F, qrep, w, a, b, sx=6, sy=sy, accuracy=accuracy
+            )
+            assert got == pytest.approx(expected, abs=1e-8)
+            assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
+
+    def test_many_cells_per_task(self, spark):
+        """Several candidate cells per scan partition: the in-task cell
+        loop must agree with brute force and the driver GI-DS, and the
+        scan must spread over more than one task."""
+        pdf, F, qrep, w, a, b = make_inputs(2, n=240)
+        sdf = spark.createDataFrame(pdf)
+        expected, _ = brute_force_asp(build_asp(pdf, F, qrep, w, a, b))
+        d_driver, _, _ = gi_ds(pdf, F, qrep, w, a, b, sx=12, sy=12)
+        got, _, stats = gi_ds_distributed(sdf, F, qrep, w, a, b, sx=12, sy=12)
+        assert got == pytest.approx(expected, abs=1e-8)
+        assert got == pytest.approx(d_driver, abs=1e-8)
+
+        parallelism = spark.sparkContext.defaultParallelism
+        assert stats.candidate_cells >= 2 * parallelism
+        assert 1 < stats.scan_tasks <= parallelism
+        assert stats.spaces_processed >= stats.candidate_cells
+
+
+def test_query_raises_no_user_warning(spark):
+    pdf, F, qrep, w, a, b = make_inputs(4)
+    sdf = spark.createDataFrame(pdf)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gi_ds_distributed(sdf, F, qrep, w, a, b, sx=6, sy=6)
+    assert not [m for m in caught if issubclass(m.category, UserWarning)]
