@@ -9,8 +9,11 @@ Layout
 - ``geometry``: axis-aligned spaces/rectangles.
 - ``reduction``: the ASRS -> ASP reduction (Lemma 1 / Theorem 1).
 - ``bruteforce``: arrangement-enumeration oracle used by the test suite.
-- ``sweepline``: the Base O(n^2) sweep-line baseline.
-- ``dssearch``: the paper's DS-Search (discretize / split / drop).
+- ``dssearch``: the paper's DS-Search (discretize / split / drop) and
+  the one sweep kernel (``enumerate_space``) that resolves small spaces
+  and drop-condition cells.
+- ``sweepline``: the Base O(n^2) sweep-line baseline — the sweep kernel
+  run over the full space.
 - ``gridindex``: the grid index with suffix-sum attribute summaries and
   the GI-DS / app-GIDS drivers.
 - ``maxrs``: the MaxRS specialisation plus the OE sweep-line baseline.

@@ -202,14 +202,25 @@ class PreparedSpec:
 
 @dataclass
 class Prepared:
-    """A composite aggregator bound to a concrete object table."""
+    """A composite aggregator bound to a concrete object table.
+
+    The specs' channels sit side by side: spec ``i`` owns the columns
+    ``ch_slices[i]`` of ``weights`` and of every channel-sum array.
+    """
 
     specs: list[PreparedSpec]
-    n_channels: int
-    out_dim: int
-    ch_slices: list[slice]
-    out_slices: list[slice]
     weights: np.ndarray = field(repr=False)  # (n_objects, n_channels)
+    n_channels: int = field(init=False)
+    out_dim: int = field(init=False)
+    ch_slices: list[slice] = field(init=False)
+
+    def __post_init__(self):
+        self.ch_slices, c = [], 0
+        for ps in self.specs:
+            self.ch_slices.append(slice(c, c + ps.n_channels))
+            c += ps.n_channels
+        self.n_channels = c
+        self.out_dim = sum(ps.out_dim for ps in self.specs)
 
     def rep_from_sums(self, sums: np.ndarray) -> np.ndarray:
         """Representation from concatenated channel sums ``[..., n_channels]``."""
@@ -285,21 +296,7 @@ def prepare_meta(
             prepared.append(
                 PreparedSpec(spec, np.zeros((0, nch)), amin=float(amin), amax=float(amax))
             )
-    ch_slices, out_slices = [], []
-    c = o = 0
-    for ps in prepared:
-        ch_slices.append(slice(c, c + ps.n_channels))
-        out_slices.append(slice(o, o + ps.out_dim))
-        c += ps.n_channels
-        o += ps.out_dim
-    return Prepared(
-        specs=prepared,
-        n_channels=c,
-        out_dim=o,
-        ch_slices=ch_slices,
-        out_slices=out_slices,
-        weights=np.zeros((0, c)),
-    )
+    return Prepared(prepared, np.zeros((0, sum(ps.n_channels for ps in prepared))))
 
 
 @dataclass(frozen=True)
@@ -341,27 +338,9 @@ class CompositeAggregator:
                         [np.stack([gmask, pos, neg], axis=1), buckets], axis=1
                     )
                 prepared.append(PreparedSpec(spec, w, amin=amin, amax=amax))
-        ch_slices, out_slices = [], []
-        c = o = 0
-        for ps in prepared:
-            ch_slices.append(slice(c, c + ps.n_channels))
-            out_slices.append(slice(o, o + ps.out_dim))
-            c += ps.n_channels
-            o += ps.out_dim
         weights = (
             np.concatenate([ps.weights for ps in prepared], axis=1)
             if prepared
             else np.zeros((len(df), 0))
         )
-        return Prepared(
-            specs=prepared,
-            n_channels=c,
-            out_dim=o,
-            ch_slices=ch_slices,
-            out_slices=out_slices,
-            weights=weights,
-        )
-
-    @property
-    def k(self) -> int:
-        return len(self.specs)
+        return Prepared(prepared, weights)

@@ -21,7 +21,9 @@ edges crossing it — at the drop scale a cell is crossed by at most one
 distinct edge coordinate per axis, so this evaluates at most 4 points
 per cell. The enumeration is written for any number of interior edges,
 which both closes the boundary-clipping corner case and keeps the
-algorithm exact for *any* user-supplied accuracy override.
+algorithm exact for *any* user-supplied accuracy override. It is the
+one sweep kernel of the package (``enumerate_space``): Base
+(``sweepline.py``) is the same sweep run over the full space.
 
 ``delta > 0`` turns on the paper's Section-6 approximation: only dirty
 cells with ``lb < dopt/(1+delta)`` are split / kept, giving the
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +65,6 @@ class SearchStats:
     drop_events: int = 0
     enum_spaces: int = 0
     points_evaluated: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
 @dataclass
@@ -316,23 +314,19 @@ def split(grid: GridResult, threshold: float) -> list[tuple[Space, float]]:
     return out
 
 
+def _interior(lo: np.ndarray, hi: np.ndarray, v0: float, v1: float) -> np.ndarray:
+    """Distinct edge coordinates of ``lo``/``hi`` strictly inside ``(v0, v1)``."""
+    return np.unique(np.concatenate([lo[(v0 < lo) & (lo < v1)], hi[(v0 < hi) & (hi < v1)]]))
+
+
 def interior_edge_counts(prob: ASPProblem, space: Space, idx: np.ndarray) -> tuple[int, int]:
     """Distinct rectangle-edge coordinates strictly inside the space, per
     axis — the size of the local arrangement (cost driver of
     ``enumerate_space``)."""
-    xl, xh = prob.x_lo[idx], prob.x_hi[idx]
-    yl, yh = prob.y_lo[idx], prob.y_hi[idx]
-    ex = np.unique(
-        np.concatenate(
-            [xl[(space.x0 < xl) & (xl < space.x1)], xh[(space.x0 < xh) & (xh < space.x1)]]
-        )
+    return (
+        len(_interior(prob.x_lo[idx], prob.x_hi[idx], space.x0, space.x1)),
+        len(_interior(prob.y_lo[idx], prob.y_hi[idx], space.y0, space.y1)),
     )
-    ey = np.unique(
-        np.concatenate(
-            [yl[(space.y0 < yl) & (yl < space.y1)], yh[(space.y0 < yh) & (yh < space.y1)]]
-        )
-    )
-    return len(ex), len(ey)
 
 
 def enumerate_space(
@@ -341,67 +335,69 @@ def enumerate_space(
     stats: SearchStats | None = None,
     idx: np.ndarray | None = None,
 ) -> tuple[float, tuple[float, float]]:
-    """Exact resolution of a (small) space by a local sweep.
+    """Exact resolution of a space by a column-by-column sweep.
 
     The x-edge coordinates inside the space define columns; within each
     column a y-sweep accumulates channel sums over the active rectangle
     events and evaluates every disjoint-region fragment (clipped to the
     space) at its midpoint, vectorised over the column's intervals.
-    Cost is O((ex+1) * Ey) — cheap whenever the local arrangement is
-    small, e.g. the sliver sub-spaces produced late in the split
-    recursion and the sub-accuracy cells of the drop condition.
+    Cost is O((ex+1) * Ey). This is the one sweep kernel: DS-Search runs
+    it on small spaces and drop-condition cells, and Base
+    (``sweepline.sweepline_search``) runs it on the full bounding box,
+    where it is the O(n^2) sweep of Section 4.1.
     """
     if idx is None:
         idx = prob.overlapping(space)
     xl, xh = prob.x_lo[idx], prob.x_hi[idx]
     yl, yh = prob.y_lo[idx], prob.y_hi[idx]
     W = prob.prepared.weights[idx]
-    ex = np.unique(
-        np.concatenate(
-            [xl[(space.x0 < xl) & (xl < space.x1)], xh[(space.x0 < xh) & (xh < space.x1)]]
-        )
-    )
-    xb = np.concatenate([[space.x0], ex, [space.x1]])
+    xb = np.concatenate([[space.x0], _interior(xl, xh, space.x0, space.x1), [space.x1]])
     xs = (xb[:-1] + xb[1:]) / 2.0
+    # The space's y-bounds join every column's events with zero weight, so
+    # intervals outside the space collapse under one max/min and the one
+    # below the lowest rectangle carries the empty state.
+    ybox = np.array([space.y0, space.y1])
+    wbox = np.zeros((2, W.shape[1]))
     ymid = (space.y0 + space.y1) / 2.0
     best, best_pt = np.inf, (float(xs[0]), ymid)
     n_pts = 0
     for x in xs:
-        mx = (xl < x) & (x < xh)
-        if not mx.any():
-            d = prob.empty_dist
+        act = np.flatnonzero((xl < x) & (x < xh))
+        if not len(act):
             n_pts += 1
-            if d < best:
-                best, best_pt = d, (float(x), ymid)
+            if prob.empty_dist < best:
+                best, best_pt = prob.empty_dist, (float(x), ymid)
             continue
-        ylm, yhm, Wx = yl[mx], yh[mx], W[mx]
-        ys = np.concatenate([ylm, yhm])
-        deltas = np.concatenate([Wx, -Wx], axis=0)
+        Wx = W[act]
+        ys = np.concatenate([yl[act], yh[act], ybox])
         order = np.argsort(ys, kind="stable")
-        ys_sorted = ys[order]
-        cum = np.cumsum(deltas[order], axis=0)
-        # intervals: (-inf, ys[0]) empty, (ys[k], ys[k+1]) with state
-        # cum[k], (ys[-1], inf) empty — clip each to the space's y-range
-        lo = np.concatenate([[-np.inf], ys_sorted])
-        hi = np.concatenate([ys_sorted, [np.inf]])
-        states = np.concatenate([np.zeros((1, W.shape[1])), cum], axis=0)
-        clo = np.maximum(lo, space.y0)
-        chi = np.minimum(hi, space.y1)
-        valid = chi > clo
-        if not valid.any():
-            continue
-        sums = states[valid]
-        mids = (clo[valid] + chi[valid]) / 2.0
-        reps = prob.prepared.rep_from_sums(sums)
+        ys = ys[order]
+        cum = np.cumsum(np.concatenate([Wx, -Wx, wbox])[order], axis=0)
+        lo = np.maximum(ys[:-1], space.y0)
+        hi = np.minimum(ys[1:], space.y1)
+        valid = hi > lo
+        reps = prob.prepared.rep_from_sums(cum[:-1][valid])
         dists = weighted_l1(reps, prob.query_rep, prob.weights)
         n_pts += len(dists)
         k = int(np.argmin(dists))
         if dists[k] < best:
-            best, best_pt = float(dists[k]), (float(x), float(mids[k]))
+            best = float(dists[k])
+            best_pt = (float(x), float((lo[valid][k] + hi[valid][k]) / 2.0))
     if stats is not None:
         stats.enum_spaces += 1
         stats.points_evaluated += n_pts
     return best, best_pt
+
+
+def _within(prob: ASPProblem, s: Space, idx: np.ndarray) -> np.ndarray:
+    """The rectangles of ``idx`` whose open interior overlaps ``s``."""
+    m = (
+        (prob.x_lo[idx] < s.x1)
+        & (prob.x_hi[idx] > s.x0)
+        & (prob.y_lo[idx] < s.y1)
+        & (prob.y_hi[idx] > s.y0)
+    )
+    return idx[m]
 
 
 def _bisect(space: Space) -> list[Space]:
@@ -470,16 +466,7 @@ def ds_search(
         stats.spaces_processed += 1
         if c.is_degenerate():
             continue
-        if parent_idx is None:
-            idx = prob.overlapping(c)
-        else:
-            m = (
-                (prob.x_lo[parent_idx] < c.x1)
-                & (prob.x_hi[parent_idx] > c.x0)
-                & (prob.y_lo[parent_idx] < c.y1)
-                & (prob.y_hi[parent_idx] > c.y0)
-            )
-            idx = parent_idx[m]
+        idx = prob.overlapping(c) if parent_idx is None else _within(prob, c, parent_idx)
         ex = ey = -1
         small = enum_rects and len(idx) <= enum_rects
         if not small and enum_points:
@@ -519,13 +506,7 @@ def ds_search(
                 if cell_lb >= dopt / (1.0 + delta):
                     break
                 cell = grid.cell_space(int(i), int(j))
-                cm = (
-                    (prob.x_lo[idx] < cell.x1)
-                    & (prob.x_hi[idx] > cell.x0)
-                    & (prob.y_lo[idx] < cell.y1)
-                    & (prob.y_hi[idx] > cell.y0)
-                )
-                d, pt = enumerate_space(prob, cell, stats, idx[cm])
+                d, pt = enumerate_space(prob, cell, stats, _within(prob, cell, idx))
                 if d < dopt:
                     dopt, popt = d, pt
             continue
@@ -550,7 +531,6 @@ def asrs_search(
     nrow: int = 30,
     delta: float = 0.0,
     accuracy: tuple[float, float] | None = None,
-    enum_rects: int = DEFAULT_ENUM_RECTS,
 ) -> tuple[float, Space, SearchStats]:
     """End-to-end ASRS: reduce to ASP (Theorem 1) and run DS-Search.
 
@@ -560,7 +540,5 @@ def asrs_search(
     from repro.core.reduction import build_asp
 
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
-    d, (px, py), stats = ds_search(
-        prob, ncol=ncol, nrow=nrow, delta=delta, enum_rects=enum_rects
-    )
+    d, (px, py), stats = ds_search(prob, ncol=ncol, nrow=nrow, delta=delta)
     return d, Space(px, px + a, py, py + b), stats

@@ -25,25 +25,14 @@ class Space:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> float:
-        return max(0.0, self.width) * max(0.0, self.height)
-
     def is_degenerate(self) -> bool:
         """True when the box has no interior in either dimension."""
         return self.width <= 0.0 or self.height <= 0.0
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
-    def overlaps_open(self, x0: float, x1: float, y0: float, y1: float) -> bool:
-        """Open-interior overlap test against another box."""
-        return x0 < self.x1 and x1 > self.x0 and y0 < self.y1 and y1 > self.y0
-
-    def same_extent(self, other: "Space", tol: float = 0.0) -> bool:
+    def same_extent(self, other: "Space") -> bool:
         return (
-            abs(self.x0 - other.x0) <= tol
-            and abs(self.x1 - other.x1) <= tol
-            and abs(self.y0 - other.y0) <= tol
-            and abs(self.y1 - other.y1) <= tol
+            self.x0 == other.x0
+            and self.x1 == other.x1
+            and self.y0 == other.y0
+            and self.y1 == other.y1
         )

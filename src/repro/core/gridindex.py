@@ -50,6 +50,16 @@ class GridIndex:
     suffix: np.ndarray = field(repr=False)
     prepared: Prepared = field(repr=False)
 
+    def cell_space(self, i: int, j: int) -> Space:
+        """Candidate corners of index cell ``(i, j)``; negative ``i``/``j``
+        are the low-side margin cells."""
+        return Space(
+            self.x0 + i * self.cw,
+            self.x0 + (i + 1) * self.cw,
+            self.y0 + j * self.ch,
+            self.y0 + (j + 1) * self.ch,
+        )
+
     @property
     def nbytes(self) -> int:
         """Serialized size of the summary tables (Table 1's 'index size')."""
@@ -190,39 +200,34 @@ def gi_ds(
     nrow: int = 30,
     delta: float = 0.0,
     accuracy: tuple[float, float] | None = None,
-    enum_rects: int = 16,
 ) -> tuple[float, tuple[float, float], GIStats]:
     """Algorithm 2 (GI-DS) / its Section-6 approximation (delta > 0).
 
     Returns ``(dopt, popt, stats)``; with ``delta == 0`` the result is
-    exact and equals plain DS-Search.
+    exact and equals plain DS-Search. An empty ``objects`` table yields
+    the empty-region candidate, as DS-Search does.
     """
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
+    dopt = prob.empty_dist
+    popt = (prob.space.x1 + a + 1.0, prob.space.y1 + b + 1.0)
+    if prob.n == 0:
+        return dopt, popt, GIStats()
     if index is None:
         index = build_grid_index(objects, F, sx, sy)
     ii, jj, lbs = candidate_cell_bounds(index, prob.query_rep, prob.weights, a, b)
     order = np.argsort(lbs, kind="stable")
-    dopt = prob.empty_dist
-    popt = (prob.space.x1 + a + 1.0, prob.space.y1 + b + 1.0)
     stats = GIStats(total_cells=len(lbs), index_bytes=index.nbytes)
     for c in order:
         if lbs[c] >= dopt / (1.0 + delta):
             break
-        cell = Space(
-            index.x0 + ii[c] * index.cw,
-            index.x0 + (ii[c] + 1) * index.cw,
-            index.y0 + jj[c] * index.ch,
-            index.y0 + (jj[c] + 1) * index.ch,
-        )
         dopt, popt, _ = ds_search(
             prob,
-            cell,
+            index.cell_space(ii[c], jj[c]),
             ncol=ncol,
             nrow=nrow,
             delta=delta,
             init=(dopt, popt),
             include_empty=False,
-            enum_rects=enum_rects,
             stats=stats.ds,
         )
         stats.searched_cells += 1

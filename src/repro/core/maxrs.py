@@ -105,7 +105,6 @@ def ds_maxrs(
     ncol: int = 30,
     nrow: int = 30,
     accuracy: tuple[float, float] | None = None,
-    enum_rects: int = 16,
 ) -> tuple[float, tuple[float, float], SearchStats]:
     """MaxRS via DS-Search (the paper's Section-7.5 adaptation).
 
@@ -122,5 +121,5 @@ def ds_maxrs(
     Q = float(np.abs(wvals).sum()) + 1.0
     F = CompositeAggregator((sum_agg(weight_col),))
     prob = build_asp(df, F, np.array([Q]), np.array([1.0]), a, b, accuracy=accuracy)
-    d, pt, stats = ds_search(prob, ncol=ncol, nrow=nrow, enum_rects=enum_rects)
+    d, pt, stats = ds_search(prob, ncol=ncol, nrow=nrow)
     return Q - d, pt, stats

@@ -29,6 +29,29 @@ def min_gap(values: np.ndarray) -> float:
     return float(np.diff(u).min())
 
 
+def check_query(
+    query_rep: np.ndarray, weights: np.ndarray, out_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a query against a representation of ``out_dim`` entries
+    and return it as float arrays.
+
+    Both arrays must be finite and of length ``out_dim``, and weights
+    non-negative: Eq. 1's lower bound (Lemma 4) assumes ``w >= 0``, and
+    a negative weight would let the search prune the true optimum.
+    Raises ``ValueError`` naming the offending argument.
+    """
+    q = np.asarray(query_rep, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    for name, v in (("query_rep", q), ("weights", w)):
+        if v.shape != (out_dim,):
+            raise ValueError(f"{name} has shape {v.shape}, F's representation {(out_dim,)}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v}")
+    if (w < 0).any():
+        raise ValueError(f"weights must be non-negative, got {w}")
+    return q, w
+
+
 @dataclass
 class ASPProblem:
     """A reduced ASP instance: rectangles + prepared aggregator + query.
@@ -102,7 +125,7 @@ def build_asp(
     minimum gap between distinct rectangle-edge coordinates. Supplying a
     *larger* value only makes DS-Search switch earlier from splitting to
     exact in-cell enumeration (see dssearch.py) — exactness holds either
-    way.
+    way. ``query_rep`` and ``weights`` are validated by ``check_query``.
     """
     x = objects["x"].to_numpy(dtype=np.float64)
     y = objects["y"].to_numpy(dtype=np.float64)
@@ -114,6 +137,7 @@ def build_asp(
     else:
         dx, dy = accuracy
     prepared = F.prepare(objects)
+    query_rep, weights = check_query(query_rep, weights, prepared.out_dim)
     if len(x):
         space = Space(float(x_lo.min()), float(x_hi.max()), float(y_lo.min()), float(y_hi.max()))
     else:
@@ -126,8 +150,8 @@ def build_asp(
         y_lo=y_lo,
         y_hi=y_hi,
         prepared=prepared,
-        query_rep=np.asarray(query_rep, dtype=np.float64),
-        weights=np.asarray(weights, dtype=np.float64),
+        query_rep=query_rep,
+        weights=weights,
         dx=dx,
         dy=dy,
         space=space,

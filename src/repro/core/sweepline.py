@@ -9,12 +9,14 @@ sums (add a rectangle's channel weights at its bottom edge, remove them
 at its top edge), and every interval's distance is evaluated. With
 O(n) slabs and O(n) active rectangles per slab this is O(n^2) — the
 complexity the paper reports for the baseline.
+
+Base is the full-space run of the sweep kernel DS-Search uses for small
+spaces and drop-condition cells (``dssearch.enumerate_space``), plus
+the empty-region candidate.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.distance import weighted_l1
+from repro.core.dssearch import enumerate_space
 from repro.core.reduction import ASPProblem
 
 
@@ -24,34 +26,7 @@ def sweepline_search(prob: ASPProblem) -> tuple[float, tuple[float, float]]:
     Returns ``(distance, location)``; includes the empty-region
     candidate so the result matches DS-Search on all instances.
     """
-    out_pt = (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
-    best, best_pt = prob.empty_dist, out_pt
-    if prob.n == 0:
-        return best, best_pt
-    xs = np.unique(np.concatenate([prob.x_lo, prob.x_hi]))
-    W = prob.prepared.weights
-    for s in range(len(xs) - 1):
-        xm = (xs[s] + xs[s + 1]) / 2.0
-        active = (prob.x_lo < xm) & (xm < prob.x_hi)
-        if not active.any():
-            continue
-        idx = np.flatnonzero(active)
-        yl, yh, Wa = prob.y_lo[idx], prob.y_hi[idx], W[idx]
-        ys = np.concatenate([yl, yh])
-        deltas = np.concatenate([Wa, -Wa], axis=0)
-        order = np.argsort(ys, kind="stable")
-        ys_sorted = ys[order]
-        cum = np.cumsum(deltas[order], axis=0)
-        widths = np.diff(ys_sorted)
-        valid = widths > 0
-        if not valid.any():
-            continue
-        sums = cum[:-1][valid]
-        reps = prob.prepared.rep_from_sums(sums)
-        dists = weighted_l1(reps, prob.query_rep, prob.weights)
-        k = int(np.argmin(dists))
-        if dists[k] < best:
-            lo_idx = np.flatnonzero(valid)[k]
-            ym = (ys_sorted[lo_idx] + ys_sorted[lo_idx + 1]) / 2.0
-            best, best_pt = float(dists[k]), (float(xm), float(ym))
-    return best, best_pt
+    d, pt = enumerate_space(prob, prob.space)
+    if prob.empty_dist < d:
+        return prob.empty_dist, (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
+    return d, pt

@@ -53,7 +53,7 @@ from repro.core.distance import weighted_l1
 from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
 from repro.core.gridindex import GridIndex, candidate_cell_bounds
-from repro.core.reduction import build_asp
+from repro.core.reduction import build_asp, check_query
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
@@ -127,18 +127,15 @@ def gi_ds_distributed(
 
     ``accuracy`` fixes the GPS accuracies ``(dx, dy)`` of every search;
     by default each search measures its own (see the module docstring).
+    An invalid query raises ``ValueError`` (``core.reduction.check_query``).
     """
     spark = df.sparkSession
-    query_rep = np.asarray(query_rep, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     if index is None:
         index, F = build_grid_index_spark(df, F, sx, sy)
     else:
         from repro.spark.aggregates import resolve_domains
 
         F = resolve_domains(df, F)
-
-    ii, jj, lbs = candidate_cell_bounds(index, query_rep, weights, a, b)
     meta = prepare_meta(
         F,
         minmax={
@@ -147,18 +144,14 @@ def gi_ds_distributed(
             if ps.spec.kind == "avg"
         },
     )
+    # validated here too: the cell bounds use the query before any build_asp
+    query_rep, weights = check_query(query_rep, weights, meta.out_dim)
+
+    ii, jj, lbs = candidate_cell_bounds(index, query_rep, weights, a, b)
     empty_dist = float(weighted_l1(meta.empty_rep(), query_rep, weights))
     far_pt = (index.x0 + (index.sx + 1) * index.cw + a, index.y0 + (index.sy + 1) * index.ch + b)
     dopt, popt = empty_dist, far_pt
     stats = DistributedStats(total_cells=len(lbs), index_bytes=index.nbytes)
-
-    def cell_space(i: int, j: int) -> Space:
-        return Space(
-            index.x0 + i * index.cw,
-            index.x0 + (i + 1) * index.cw,
-            index.y0 + j * index.ch,
-            index.y0 + (j + 1) * index.ch,
-        )
 
     def fetch_cell_objects(cell: Space) -> pd.DataFrame:
         cond = (
@@ -172,7 +165,7 @@ def gi_ds_distributed(
     # --- seed: search the most promising cell on the driver -------------
     seed_c = int(np.argmin(lbs))
     if lbs[seed_c] < dopt / (1.0 + delta):
-        cell = cell_space(int(ii[seed_c]), int(jj[seed_c]))
+        cell = index.cell_space(int(ii[seed_c]), int(jj[seed_c]))
         local = fetch_cell_objects(cell)
         if len(local):
             prob = build_asp(local, F, query_rep, weights, a, b, accuracy=accuracy)

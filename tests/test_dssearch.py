@@ -33,6 +33,23 @@ def random_prob(seed, n=30, zoo_idx=None):
     return build_asp(df, F, qrep, w, a, b)
 
 
+def brute_force_in(prob, s):
+    """Minimum distance over the locations strictly inside ``s``: every
+    region of the arrangement clipped to ``s`` contains a pair of
+    midpoints of consecutive edge-or-boundary coordinates."""
+
+    def mids(lo, hi, v0, v1):
+        u = np.unique(np.concatenate([lo, hi, [v0, v1]]))
+        u = u[(v0 <= u) & (u <= v1)]
+        return (u[:-1] + u[1:]) / 2.0
+
+    return min(
+        prob.point_dist(x, y)
+        for x in mids(prob.x_lo, prob.x_hi, s.x0, s.x1)
+        for y in mids(prob.y_lo, prob.y_hi, s.y0, s.y1)
+    )
+
+
 class TestExactness:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
@@ -123,7 +140,7 @@ class TestSplit:
         for i, j in zip(g.dirty_i, g.dirty_j):
             cell = g.cell_space(int(i), int(j))
             cx, cy = (cell.x0 + cell.x1) / 2, (cell.y0 + cell.y1) / 2
-            assert any(ch.contains_point(cx, cy) for ch, _ in children)
+            assert any(ch.x0 <= cx <= ch.x1 and ch.y0 <= cy <= ch.y1 for ch, _ in children)
 
     def test_child_lb_is_min_member_lb(self):
         prob, g = self.make_grid(1)
@@ -176,6 +193,22 @@ class TestDropAndTermination:
         d, pt = enumerate_space(prob, prob.space)
         expected, _ = brute_force_asp(prob)
         assert d == pytest.approx(expected, abs=1e-12)
+        # sub-spaces whose boundaries cut rectangles (and one reaching
+        # past the bounding box), on the tiny instance and random ones,
+        # against brute force restricted to the sub-space
+        rng = np.random.default_rng(3)
+        for prob in [prob, random_prob(1), random_prob(2, n=40), random_prob(4)]:
+            s0, subs = prob.space, []
+            for _ in range(4):
+                xs = np.sort(rng.uniform(s0.x0, s0.x1, 2))
+                ys = np.sort(rng.uniform(s0.y0, s0.y1, 2))
+                subs.append(Space(xs[0], xs[1], ys[0], ys[1]))
+            subs.append(Space(s0.x0 - 1.0, xs[1], ys[0], s0.y1 + 1.0))
+            for sub in subs:
+                d, (px, py) = enumerate_space(prob, sub)
+                assert d == pytest.approx(brute_force_in(prob, sub), abs=1e-12), sub
+                assert sub.x0 < px < sub.x1 and sub.y0 < py < sub.y1
+                assert prob.point_dist(px, py) == pytest.approx(d, abs=1e-12)
 
     def test_coarse_accuracy_triggers_drop_and_stays_exact(self):
         """Overriding the accuracies with huge values forces the drop path

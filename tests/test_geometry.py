@@ -1,39 +1,22 @@
-"""Space primitive: extents, containment, overlap, degeneracy."""
+"""Space primitive: extents and degeneracy."""
 from __future__ import annotations
-
-import pytest
 
 from repro.core.geometry import Space
 
 
-def test_width_height_area():
+def test_width_height():
     s = Space(1.0, 4.0, 2.0, 8.0)
-    assert s.width == 3.0 and s.height == 6.0 and s.area == 18.0
+    assert s.width == 3.0 and s.height == 6.0
 
 
 def test_degenerate():
     assert Space(1, 1, 0, 5).is_degenerate()
     assert Space(0, 5, 3, 3).is_degenerate()
     assert not Space(0, 1, 0, 1).is_degenerate()
-    assert Space(2, 1, 0, 5).area == 0.0
-
-
-def test_contains_point_closed():
-    s = Space(0, 2, 0, 2)
-    assert s.contains_point(0, 0) and s.contains_point(2, 2)
-    assert s.contains_point(1, 1)
-    assert not s.contains_point(2.1, 1)
-
-
-def test_overlaps_open_excludes_touching():
-    s = Space(0, 2, 0, 2)
-    assert s.overlaps_open(1, 3, 1, 3)
-    assert not s.overlaps_open(2, 3, 0, 2)  # shares only an edge
-    assert not s.overlaps_open(-1, 0, 0, 2)
+    assert Space(2, 1, 0, 5).is_degenerate()
 
 
 def test_same_extent():
     a = Space(0, 1, 0, 1)
     assert a.same_extent(Space(0, 1, 0, 1))
     assert not a.same_extent(Space(0, 1, 0, 1.0000001))
-    assert a.same_extent(Space(0, 1, 0, 1.0000001), tol=1e-5)

@@ -32,6 +32,28 @@ def build(df, a=1.0, b=1.0, qrep=(1, 1), w=(1, 1)):
     return build_asp(df, F_COLOR, np.array(qrep, dtype=float), np.array(w, dtype=float), a, b)
 
 
+#: (query_rep, weights, argument the error must name)
+BAD_QUERIES = {
+    "negative_weight": ((1, 1), (-0.5, 1), "weights"),
+    "nan_query": ((np.nan, 1), (1, 1), "query_rep"),
+    "inf_weight": ((1, 1), (np.inf, 1), "weights"),
+    "short_weights": ((1, 1), (1,), "weights"),
+    "long_query": ((1, 1, 1), (1, 1), "query_rep"),
+}
+
+
+class TestQueryValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+    def test_rejects_invalid_query(self, case):
+        qrep, w, name = BAD_QUERIES[case]
+        with pytest.raises(ValueError, match=name):
+            build(fig2_objects(), qrep=qrep, w=w)
+
+    def test_zero_weight_accepted(self):
+        prob = build(fig2_objects(), qrep=(1, 1), w=(0, 1))
+        assert prob.weights.tolist() == [0.0, 1.0]
+
+
 class TestRectangleGeneration:
     def test_top_right_corner_at_object(self):
         df = fig2_objects()
@@ -144,4 +166,4 @@ class TestProblemHelpers:
     def test_zero_objects(self):
         df = pd.DataFrame({"x": [], "y": [], "color": []})
         prob = build(df)
-        assert prob.n == 0 and prob.space.area == 0.0
+        assert prob.n == 0 and prob.space == Space(0.0, 0.0, 0.0, 0.0)

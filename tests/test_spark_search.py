@@ -161,6 +161,21 @@ class TestTaskLocalAccuracy:
         assert stats.spaces_processed >= stats.candidate_cells
 
 
+@pytest.mark.parametrize("name", ["weights", "query_rep"])
+def test_rejects_invalid_query(spark, name):
+    """Cell bounds use the query before any ``build_asp``, so the
+    distributed entry point validates it itself: a negative weight, or
+    a query one entry short."""
+    pdf, F, qrep, w, a, b = make_inputs(4)
+    if name == "weights":
+        w = w.copy()
+        w[0] = -1.0
+    else:
+        qrep = qrep[:-1]
+    with pytest.raises(ValueError, match=name):
+        gi_ds_distributed(spark.createDataFrame(pdf), F, qrep, w, a, b, sx=6, sy=6)
+
+
 def test_query_raises_no_user_warning(spark):
     pdf, F, qrep, w, a, b = make_inputs(4)
     sdf = spark.createDataFrame(pdf)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.aggregators import CompositeAggregator, dist_agg
 from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import ds_search
+from repro.core.gridindex import gi_ds
 from repro.core.reduction import build_asp
 from repro.core.sweepline import sweepline_search
 from tests.conftest import aggregator_zoo, random_objects, random_query
@@ -23,9 +24,32 @@ def random_prob(seed, n=30):
     return build_asp(df, F, qrep, w, a, b)
 
 
-@pytest.mark.parametrize("seed", range(15))
+def adversarial_prob(case):
+    """``kind`` + zoo index: ``lattice`` snaps coordinates and ``a``/``b``
+    to a unit lattice (coinciding edges, duplicate points), ``one_x``
+    puts every object on one x (degenerate bounding box), ``big_ab``
+    makes ``a``/``b`` larger than the bounding box. The target is a real
+    region's representation, perturbed so the optimum is rarely 0."""
+    kind, z = case[:-1], int(case[-1])
+    rng = np.random.default_rng(z)
+    F = aggregator_zoo()[z]
+    df = random_objects(rng, 30, lattice=1.0, span=6.0)
+    a, b = 1.0, 2.0
+    if kind == "one_x":
+        df["x"] = 3.0
+        a, b = 1.5, 1.25
+    elif kind == "big_ab":
+        a, b = 40.0, 25.0
+    qrep, w = random_query(rng, F, df, a, b)
+    return build_asp(df, F, qrep * rng.uniform(0.5, 1.5, len(qrep)), w, a, b)
+
+
+ADVERSARIAL = [f"{kind}{z}" for kind in ("lattice", "one_x", "big_ab") for z in range(5)]
+
+
+@pytest.mark.parametrize("seed", [*range(15), *ADVERSARIAL])
 def test_matches_brute_force(seed):
-    prob = random_prob(seed)
+    prob = random_prob(seed) if isinstance(seed, int) else adversarial_prob(seed)
     expected, _ = brute_force_asp(prob)
     got, pt = sweepline_search(prob)
     assert got == pytest.approx(expected, abs=1e-8)
@@ -46,6 +70,16 @@ def test_empty_instance():
     prob = build_asp(df, F, np.array([1.0]), np.ones(1), 1.0, 1.0)
     d, _ = sweepline_search(prob)
     assert d == pytest.approx(prob.empty_dist)
+
+
+def test_gi_ds_empty_instance():
+    df = pd.DataFrame({"x": [], "y": [], "color": pd.Series([], dtype=str)})
+    F = CompositeAggregator((dist_agg("color", domain=("red",)),))
+    prob = build_asp(df, F, np.array([1.0]), np.ones(1), 1.0, 1.0)
+    d, pt, stats = gi_ds(df, F, np.array([1.0]), np.ones(1), 1.0, 1.0)
+    assert (d, pt) == ds_search(prob)[:2]
+    assert d == pytest.approx(prob.empty_dist)
+    assert stats.searched_cells == 0
 
 
 def test_single_object_found():
