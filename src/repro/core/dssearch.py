@@ -28,6 +28,15 @@ one sweep kernel of the package (``enumerate_space``): Base
 ``delta > 0`` turns on the paper's Section-6 approximation: only dirty
 cells with ``lb < dopt/(1+delta)`` are split / kept, giving the
 ``(1+delta)``-guarantee of Theorem 3.
+
+Both kernels do each piece of per-rectangle work once. Discretize merges
+each axis's cell edges and centers into one sorted array, so a single
+search per rectangle extent (four per call) yields the cover, full and
+center index ranges (``_cell_boxes``), and the three planes come from one
+difference-array scatter (``_accum_planes``). The sweep sorts a space's
+y-events once; each column takes its active rectangles' events from that
+order. Every classification and every floating-point sum is the one the
+separate searches, scatters and per-column sorts would give.
 """
 from __future__ import annotations
 
@@ -39,7 +48,7 @@ import numpy as np
 
 from repro.core.distance import lower_bound, weighted_l1
 from repro.core.geometry import Space
-from repro.core.reduction import ASPProblem
+from repro.core.reduction import ASPProblem, check_delta
 
 #: If a space overlaps at most this many rectangles, resolve it by exact
 #: enumeration instead of another discretize/split round. Pure
@@ -94,52 +103,91 @@ class GridResult:
 
 
 def _accum_planes(
-    i0: np.ndarray,
-    i1: np.ndarray,
-    j0: np.ndarray,
-    j1: np.ndarray,
+    boxes: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     W: np.ndarray,
     ncol: int,
     nrow: int,
 ) -> np.ndarray:
-    """Sum ``W`` rows into every grid cell of each row's index box.
+    """Sum ``W`` rows into every grid cell of each row's index box, for
+    several box sets at once.
 
-    Implements C simultaneous 2-D difference arrays via one bincount:
-    returns ``planes[C, ncol, nrow]`` where ``planes[c, i, j]`` is the
-    sum of ``W[m, c]`` over rows ``m`` whose box ``[i0..i1] x [j0..j1]``
-    contains cell ``(i, j)``. Rows with an empty box (``i0 > i1`` or
-    ``j0 > j1``) contribute nothing.
+    ``boxes[s] = (i0, i1, j0, j1)`` gives every row of ``W`` one box
+    ``[i0..i1] x [j0..j1]`` per set. Implements ``S * C`` simultaneous
+    2-D difference arrays via one bincount: returns
+    ``planes[S, C, ncol, nrow]`` where ``planes[s, c, i, j]`` is the sum
+    of ``W[m, c]`` over rows ``m`` whose box in set ``s`` contains cell
+    ``(i, j)``. Rows with an empty box (``i0 > i1`` or ``j0 > j1``)
+    contribute nothing to that set.
     """
-    m, C = W.shape
+    C = W.shape[1]
     size = (ncol + 1) * (nrow + 1)
-    if m == 0:
-        return np.zeros((C, ncol, nrow))
-    valid = (i0 <= i1) & (j0 <= j1)
-    if not valid.all():
-        i0, i1, j0, j1, W = i0[valid], i1[valid], j0[valid], j1[valid], W[valid]
-        if len(i0) == 0:
-            return np.zeros((C, ncol, nrow))
-    base = np.arange(C) * size
-    corners = (
-        (i0, j0, 1.0),
-        (i1 + 1, j0, -1.0),
-        (i0, j1 + 1, -1.0),
-        (i1 + 1, j1 + 1, 1.0),
-    )
     # one-hot channels (fD) are mostly zero: accumulate nonzeros only
-    rix, cix = np.nonzero(W)
-    wnz = W[rix, cix]
-    idx_parts, w_parts = [], []
-    for ii, jj, sgn in corners:
-        cell = ii * (nrow + 1) + jj
-        idx_parts.append(cell[rix] + base[cix])
-        w_parts.append(sgn * wnz)
-    D = np.bincount(
-        np.concatenate(idx_parts),
-        weights=np.concatenate(w_parts),
-        minlength=C * size,
-    ).reshape(C, ncol + 1, nrow + 1)
-    return D.cumsum(axis=1).cumsum(axis=2)[:, :ncol, :nrow]
+    flat = np.flatnonzero(W)
+    rix, cix = np.divmod(flat, C)
+    wnz = W.reshape(-1)[flat]
+    keep = []  # per set: the nonzeros of its non-empty boxes, or None for all
+    for i0, i1, j0, j1 in boxes:
+        valid = (i0 <= i1) & (j0 <= j1)
+        keep.append(None if valid.all() else valid[rix])
+    n = sum(len(rix) if k is None else int(k.sum()) for k in keep)
+    # every set's four corner terms, written in place for one scatter
+    bins, vals = np.empty(4 * n, dtype=np.intp), np.empty(4 * n)
+    e = 0
+    for s, ((i0, i1, j0, j1), k) in enumerate(zip(boxes, keep)):
+        rows, off, w = rix, cix * size + s * C * size, wnz
+        if k is not None:
+            rows, off, w = rows[k], off[k], w[k]
+        for ii, jj, sgn in (
+            (i0, j0, 1.0), (i1 + 1, j0, -1.0), (i0, j1 + 1, -1.0), (i1 + 1, j1 + 1, 1.0)
+        ):
+            b, e = e, e + len(rows)
+            np.take(ii * (nrow + 1) + jj, rows, out=bins[b:e])
+            bins[b:e] += off
+            np.multiply(w, sgn, out=vals[b:e])
+    D = np.bincount(bins, weights=vals, minlength=len(boxes) * C * size).reshape(
+        len(boxes), C, ncol + 1, nrow + 1
+    )
+    return D[:, :, :ncol, :nrow].cumsum(axis=2).cumsum(axis=3)
+
+
+def _cell_boxes(
+    edges: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Per-axis index ranges of the cells each open interval ``(lo, hi)``
+    meets, lies inside, and whose center it contains.
+
+    Returns ``([cover, full, center], centers)``, each range a
+    ``(first, last)`` pair of cell indices (empty when ``first > last``).
+    Every classification compares against the one shared ``edges`` array
+    and its midpoints, merged into ``M = [e0, c0, e1, ..., e_n]``: for a
+    non-decreasing ``M`` the entries ``<= v`` are a prefix of length
+    ``r``, so ``(r + 1) // 2`` edges and ``r // 2`` centers are ``<= v``,
+    and likewise ``< v`` with the ``side="left"`` count. So one search
+    per array serves all three ranges. The ``side="left"`` count is
+    ``r`` less one exact match when ``M`` is strictly increasing; on an
+    ulp-thin space, whose edges and centers coincide, it is searched.
+    """
+    n = len(edges) - 1
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    M = np.empty(2 * n + 1)
+    M[0::2] = edges
+    M[1::2] = centers
+    r_lo = np.searchsorted(M, lo, side="right")
+    r_hi = np.searchsorted(M, hi, side="right")
+    if (M[:-1] < M[1:]).all():
+        # r == 0 means v < M[0] < M[-1], so M[r - 1] cannot match
+        l_lo = r_lo - (M[r_lo - 1] == lo)
+        l_hi = r_hi - (M[r_hi - 1] == hi)
+    else:
+        l_lo = np.searchsorted(M, lo, side="left")
+        l_hi = np.searchsorted(M, hi, side="left")
+    cover = (  # cells whose open interior meets the interval
+        np.clip((r_lo + 1) // 2 - 1, 0, n - 1),
+        np.clip((l_hi + 1) // 2 - 1, 0, n - 1),
+    )
+    full = ((l_lo + 1) // 2, np.minimum((r_hi + 1) // 2 - 2, n - 1))  # inside [lo, hi]
+    center = (r_lo // 2, np.minimum(l_hi // 2 - 1, n - 1))  # center inside (lo, hi)
+    return [cover, full, center], centers
 
 
 def discretize(
@@ -165,25 +213,16 @@ def discretize(
     hc = space.height / nrow
     if idx is None:
         idx = prob.overlapping(space)
-    xl, xh = prob.x_lo[idx], prob.x_hi[idx]
-    yl, yh = prob.y_lo[idx], prob.y_hi[idx]
-    # cover: cells whose open interior intersects the rectangle's interior
-    ic0 = np.clip(np.searchsorted(edges_x, xl, side="right") - 1, 0, ncol - 1)
-    ic1 = np.clip(np.searchsorted(edges_x, xh, side="left") - 1, 0, ncol - 1)
-    jc0 = np.clip(np.searchsorted(edges_y, yl, side="right") - 1, 0, nrow - 1)
-    jc1 = np.clip(np.searchsorted(edges_y, yh, side="left") - 1, 0, nrow - 1)
-    # full: cells entirely inside the closed rectangle
-    if0 = np.searchsorted(edges_x, xl, side="left")
-    if1 = np.searchsorted(edges_x, xh, side="right") - 2
-    jf0 = np.searchsorted(edges_y, yl, side="left")
-    jf1 = np.searchsorted(edges_y, yh, side="right") - 2
-    if1 = np.minimum(if1, ncol - 1)
-    jf1 = np.minimum(jf1, nrow - 1)
-
-    W = prob.prepared.weights[idx]
-    Wext = np.concatenate([W, np.ones((len(idx), 1))], axis=1)  # + count channel
-    cover = _accum_planes(ic0, ic1, jc0, jc1, Wext, ncol, nrow)
-    full = _accum_planes(if0, if1, jf0, jf1, Wext, ncol, nrow)
+    bx, centers_x = _cell_boxes(edges_x, prob.x_lo[idx], prob.x_hi[idx])
+    by, centers_y = _cell_boxes(edges_y, prob.y_lo[idx], prob.y_hi[idx])
+    # the channel weights plus a count channel, in one array
+    C = prob.prepared.n_channels
+    Wext = np.empty((len(idx), C + 1))
+    Wext[:, :C] = prob.prepared.weights[idx]
+    Wext[:, C] = 1.0
+    cover, full, center = _accum_planes(
+        [(i0, i1, j0, j1) for (i0, i1), (j0, j1) in zip(bx, by)], Wext, ncol, nrow
+    )
     n_partial = cover[-1] - full[-1]
     clean = n_partial < 0.5
 
@@ -196,16 +235,6 @@ def discretize(
     # incumbent — for clean cells this coincides with the cell's single
     # representation, for dirty cells it is a high-quality sample that
     # makes the incumbent converge fast on plateau-heavy workloads).
-    centers_x = (edges_x[:-1] + edges_x[1:]) / 2.0
-    centers_y = (edges_y[:-1] + edges_y[1:]) / 2.0
-    icc0 = np.searchsorted(centers_x, xl, side="right")
-    icc1 = np.searchsorted(centers_x, xh, side="left") - 1
-    jcc0 = np.searchsorted(centers_y, yl, side="right")
-    jcc1 = np.searchsorted(centers_y, yh, side="left") - 1
-    center = _accum_planes(
-        icc0, np.minimum(icc1, ncol - 1), jcc0, np.minimum(jcc1, nrow - 1),
-        Wext, ncol, nrow,
-    )
     center_sums = np.moveaxis(center[:-1], 0, -1)
     reps = prob.prepared.rep_from_sums(center_sums)
     dists = weighted_l1(reps, prob.query_rep, prob.weights)
@@ -285,31 +314,31 @@ def split(grid: GridResult, threshold: float) -> list[tuple[Space, float]]:
     if len(i) == 1:
         return [(grid.cell_space(int(i[0]), int(j[0])), float(lb[0]))]
     s1, s2 = _pick_seeds(i, j)
+    il, jl = i.tolist(), j.tolist()  # the greedy loop runs on Python ints
     boxes = [  # [imin, imax, jmin, jmax] per group
-        [i[s1], i[s1], j[s1], j[s1]],
-        [i[s2], i[s2], j[s2], j[s2]],
+        [il[s1], il[s1], jl[s1], jl[s1]],
+        [il[s2], il[s2], jl[s2], jl[s2]],
     ]
     members: list[list[int]] = [[s1], [s2]]
-    for m in range(len(i)):
+    for m, (im, jm) in enumerate(zip(il, jl)):
         if m in (s1, s2):
             continue
         costs = []
         for b in boxes:
-            ni0, ni1 = min(b[0], i[m]), max(b[1], i[m])
-            nj0, nj1 = min(b[2], j[m]), max(b[3], j[m])
+            ni0, ni1 = min(b[0], im), max(b[1], im)
+            nj0, nj1 = min(b[2], jm), max(b[3], jm)
             new_area = (ni1 - ni0 + 1) * (nj1 - nj0 + 1)
             old_area = (b[1] - b[0] + 1) * (b[3] - b[2] + 1)
             costs.append(new_area - old_area)
         g = 1 if costs[0] > costs[1] else 0
         b = boxes[g]
-        b[0], b[1] = min(b[0], i[m]), max(b[1], i[m])
-        b[2], b[3] = min(b[2], j[m]), max(b[3], j[m])
+        b[0], b[1] = min(b[0], im), max(b[1], im)
+        b[2], b[3] = min(b[2], jm), max(b[3], jm)
         members[g].append(m)
     out = []
     for g, b in enumerate(boxes):
         out.append(
-            (mbr_space(int(b[0]), int(b[1]), int(b[2]), int(b[3])),
-             float(lb[members[g]].min()))
+            (mbr_space(*b), float(lb[members[g]].min()))
         )
     return out
 
@@ -351,13 +380,25 @@ def enumerate_space(
     xl, xh = prob.x_lo[idx], prob.x_hi[idx]
     yl, yh = prob.y_lo[idx], prob.y_hi[idx]
     W = prob.prepared.weights[idx]
+    m = len(idx)
     xb = np.concatenate([[space.x0], _interior(xl, xh, space.x0, space.x1), [space.x1]])
     xs = (xb[:-1] + xb[1:]) / 2.0
-    # The space's y-bounds join every column's events with zero weight, so
-    # intervals outside the space collapse under one max/min and the one
-    # below the lowest rectangle carries the empty state.
-    ybox = np.array([space.y0, space.y1])
-    wbox = np.zeros((2, W.shape[1]))
+    # One stable y-sort of every rectangle's events serves all columns: a
+    # column takes its active rectangles' events at their sorted
+    # positions, in ascending order, and a stable sort restricted to a
+    # subset is that subset's stable sort. Sorting the positions costs
+    # O(k log k) for k active rectangles, so a sparse column (Base's are)
+    # pays nothing per overlapping rectangle. The space's y-bounds join
+    # every column's events with zero weight, so intervals outside the
+    # space collapse under one max/min and the one below the lowest
+    # rectangle carries the empty state.
+    ys = np.concatenate([yl, yh, [space.y0, space.y1]])
+    order = np.argsort(ys, kind="stable")
+    ys = ys[order]
+    ws = np.concatenate([W, -W, np.zeros((2, W.shape[1]))])[order]
+    pos = np.empty(len(order), dtype=np.intp)  # sorted position of each event
+    pos[order] = np.arange(len(order))
+    pos_lo, pos_hi, pos_box = pos[:m], pos[m:2 * m], pos[2 * m:]
     ymid = (space.y0 + space.y1) / 2.0
     best, best_pt = np.inf, (float(xs[0]), ymid)
     n_pts = 0
@@ -368,13 +409,11 @@ def enumerate_space(
             if prob.empty_dist < best:
                 best, best_pt = prob.empty_dist, (float(x), ymid)
             continue
-        Wx = W[act]
-        ys = np.concatenate([yl[act], yh[act], ybox])
-        order = np.argsort(ys, kind="stable")
-        ys = ys[order]
-        cum = np.cumsum(np.concatenate([Wx, -Wx, wbox])[order], axis=0)
-        lo = np.maximum(ys[:-1], space.y0)
-        hi = np.minimum(ys[1:], space.y1)
+        sel = np.sort(np.concatenate([pos_lo[act], pos_hi[act], pos_box]))
+        ycol = ys[sel]
+        cum = np.cumsum(ws[sel], axis=0)
+        lo = np.maximum(ycol[:-1], space.y0)
+        hi = np.minimum(ycol[1:], space.y1)
         valid = hi > lo
         reps = prob.prepared.rep_from_sums(cum[:-1][valid])
         dists = weighted_l1(reps, prob.query_rep, prob.weights)
@@ -431,8 +470,9 @@ def ds_search(
     ``init`` seeds ``(dopt, popt)`` (used by GI-DS to share the incumbent
     across index cells); ``include_empty`` additionally seeds the
     empty-region candidate, whose bottom-left corner lies outside every
-    rectangle.
+    rectangle. A negative ``delta`` raises ``ValueError``.
     """
+    check_delta(delta)
     stats = stats if stats is not None else SearchStats()
     space = space if space is not None else prob.space
     if init is not None:

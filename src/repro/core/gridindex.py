@@ -32,7 +32,7 @@ from repro.core.aggregators import CompositeAggregator, Prepared
 from repro.core.distance import lower_bound
 from repro.core.dssearch import SearchStats, ds_search
 from repro.core.geometry import Space
-from repro.core.reduction import ASPProblem, build_asp
+from repro.core.reduction import ASPProblem, build_asp, check_delta
 
 
 @dataclass
@@ -205,8 +205,10 @@ def gi_ds(
 
     Returns ``(dopt, popt, stats)``; with ``delta == 0`` the result is
     exact and equals plain DS-Search. An empty ``objects`` table yields
-    the empty-region candidate, as DS-Search does.
+    the empty-region candidate, as DS-Search does. A negative ``delta``
+    raises ``ValueError``.
     """
+    check_delta(delta)
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
     dopt = prob.empty_dist
     popt = (prob.space.x1 + a + 1.0, prob.space.y1 + b + 1.0)

@@ -52,6 +52,24 @@ def check_query(
     return q, w
 
 
+def check_sizes(a: float, b: float) -> None:
+    """Reject a query size that is not finite and positive: the reduction's
+    rectangles (and an index's cell bounds) assume ``a, b > 0``. Raises
+    ``ValueError`` naming the offending argument."""
+    for name, v in (("a", a), ("b", b)):
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
+def check_delta(delta: float) -> None:
+    """Reject a negative (or NaN) approximation factor. The guarantee
+    ``d <= (1 + delta) * d*`` is stated for ``delta >= 0``; at
+    ``delta <= -1`` the scan threshold ``dopt / (1 + delta)`` is negative
+    or undefined, and a search stops before it reaches the optimum."""
+    if not delta >= 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+
+
 @dataclass
 class ASPProblem:
     """A reduced ASP instance: rectangles + prepared aggregator + query.
@@ -125,10 +143,16 @@ def build_asp(
     minimum gap between distinct rectangle-edge coordinates. Supplying a
     *larger* value only makes DS-Search switch earlier from splitting to
     exact in-cell enumeration (see dssearch.py) — exactness holds either
-    way. ``query_rep`` and ``weights`` are validated by ``check_query``.
+    way. ``query_rep`` and ``weights`` are validated by ``check_query``,
+    ``a`` and ``b`` by ``check_sizes``; non-finite coordinates raise
+    ``ValueError``.
     """
+    check_sizes(a, b)
     x = objects["x"].to_numpy(dtype=np.float64)
     y = objects["y"].to_numpy(dtype=np.float64)
+    for name, v in (("x", x), ("y", y)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"coordinate column {name!r} must be finite")
     x_lo, x_hi = x - a, x
     y_lo, y_hi = y - b, y
     if accuracy is None:

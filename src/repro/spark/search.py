@@ -53,7 +53,7 @@ from repro.core.distance import weighted_l1
 from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
 from repro.core.gridindex import GridIndex, candidate_cell_bounds
-from repro.core.reduction import build_asp, check_query
+from repro.core.reduction import build_asp, check_delta, check_query, check_sizes
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
@@ -127,8 +127,12 @@ def gi_ds_distributed(
 
     ``accuracy`` fixes the GPS accuracies ``(dx, dy)`` of every search;
     by default each search measures its own (see the module docstring).
-    An invalid query raises ``ValueError`` (``core.reduction.check_query``).
+    An invalid size or ``delta`` raises ``ValueError`` before any Spark
+    job (``core.reduction.check_sizes``, ``check_delta``), an invalid
+    query before the cell bounds (``check_query``).
     """
+    check_sizes(a, b)
+    check_delta(delta)
     spark = df.sparkSession
     if index is None:
         index, F = build_grid_index_spark(df, F, sx, sy)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregators import CompositeAggregator, dist_agg
+from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
+from repro.core.gridindex import gi_ds
 from repro.core.reduction import build_asp, min_gap, query_representation
 from tests.conftest import random_objects
 
@@ -52,6 +54,41 @@ class TestQueryValidation:
     def test_zero_weight_accepted(self):
         prob = build(fig2_objects(), qrep=(1, 1), w=(0, 1))
         assert prob.weights.tolist() == [0.0, 1.0]
+
+
+class TestInputValidation:
+    """Coordinates, region sizes and ``delta`` outside the model raise a
+    ``ValueError`` naming the argument instead of returning a wrong
+    answer (a NaN ``x`` used to give the location ``(nan, 5.5)``)."""
+
+    @pytest.mark.parametrize("col,val", [("x", np.nan), ("y", np.inf), ("x", -np.inf)])
+    def test_rejects_non_finite_coordinates(self, col, val):
+        df = fig2_objects()
+        df.loc[2, col] = val
+        with pytest.raises(ValueError, match=f"'{col}'"):
+            build(df)
+
+    @pytest.mark.parametrize(
+        "a,b,name", [(-1.5, 1.0, "a"), (0.0, 1.0, "a"), (np.nan, 1.0, "a"),
+                     (1.0, -0.5, "b"), (1.0, np.inf, "b")],
+    )
+    def test_rejects_invalid_size(self, a, b, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            build(fig2_objects(), a=a, b=b)
+
+    def test_rejects_negative_delta(self):
+        """At ``delta = -2`` the threshold ``dopt / (1 + delta)`` is
+        negative, so the scans stopped at once: ``gi_ds`` returned the
+        empty-region distance 2.0 although the exact optimum is 0.0."""
+        df = fig2_objects()
+        q, w = np.array([1.0, 1.0]), np.array([1.0, 1.0])
+        assert gi_ds(df, F_COLOR, q, w, 1.0, 1.0, sx=4, sy=4)[0] == 0.0
+        with pytest.raises(ValueError, match="delta"):
+            gi_ds(df, F_COLOR, q, w, 1.0, 1.0, sx=4, sy=4, delta=-2.0)
+        with pytest.raises(ValueError, match="delta"):
+            ds_search(build(df), delta=-0.5)
+        with pytest.raises(ValueError, match="delta"):
+            ds_search(build(df), delta=np.nan)
 
 
 class TestRectangleGeneration:

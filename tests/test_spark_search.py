@@ -176,6 +176,16 @@ def test_rejects_invalid_query(spark, name):
         gi_ds_distributed(spark.createDataFrame(pdf), F, qrep, w, a, b, sx=6, sy=6)
 
 
+@pytest.mark.parametrize("name,value", [("delta", -2.0), ("a", -1.5), ("b", 0.0)])
+def test_rejects_invalid_size_or_delta(spark, name, value):
+    """Checked before the index build: a negative delta stopped the scan
+    at once, and a non-positive size spawned inverted rectangles."""
+    pdf, F, qrep, w, a, b = make_inputs(4)
+    kw = {"a": a, "b": b, "delta": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        gi_ds_distributed(spark.createDataFrame(pdf), F, qrep, w, sx=6, sy=6, **kw)
+
+
 def test_query_raises_no_user_warning(spark):
     pdf, F, qrep, w, a, b = make_inputs(4)
     sdf = spark.createDataFrame(pdf)
