@@ -29,6 +29,14 @@ one sweep kernel of the package (``enumerate_space``): Base
 cells with ``lb < dopt/(1+delta)`` are split / kept, giving the
 ``(1+delta)``-guarantee of Theorem 3.
 
+The heap may start from a stream of root spaces instead of one space:
+``ds_search(roots=...)`` draws ``(lb, space)`` pairs lazily, in
+ascending ``lb`` order, and pops each root when its bound is the
+smallest open one, so roots and sub-spaces share one best-first order
+(GI-DS feeds its index cells this way). The stop rule and the
+guarantee are unchanged: every root and every sub-space is popped in
+bound order, and the scan stops at the first bound ``>= dopt/(1+delta)``.
+
 Both kernels do each piece of per-rectangle work once. Discretize merges
 each axis's cell edges and centers into one sorted array, so a single
 search per rectangle extent (four per call) yields the cover, full and
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +77,8 @@ class SearchStats:
     """Counters for the experiments (cells searched, drop events, ...)."""
 
     spaces_processed: int = 0
+    #: root spaces processed: the whole space, or roots from the stream
+    roots_processed: int = 0
     cells_seen: int = 0
     clean_cells: int = 0
     dirty_pruned: int = 0
@@ -448,6 +459,19 @@ def _bisect(space: Space) -> list[Space]:
     return [Space(space.x0, space.x1, space.y0, my), Space(space.x0, space.x1, my, space.y1)]
 
 
+def _ascending(
+    roots: Iterable[tuple[float, Space]],
+) -> Iterator[tuple[float, Space]]:
+    """``roots`` as drawn, checking that each bound is at least the last
+    (NaN fails the check)."""
+    last = -np.inf
+    for lb, s in roots:
+        if not lb >= last:
+            raise ValueError(f"roots must be in ascending lb order: {lb} follows {last}")
+        last = lb
+        yield lb, s
+
+
 def ds_search(
     prob: ASPProblem,
     space: Space | None = None,
@@ -460,6 +484,7 @@ def ds_search(
     enum_rects: int = DEFAULT_ENUM_RECTS,
     enum_points: int = DEFAULT_ENUM_POINTS,
     stats: SearchStats | None = None,
+    roots: Iterable[tuple[float, Space]] | None = None,
 ) -> tuple[float, tuple[float, float], SearchStats]:
     """Algorithm 1 (DS-Search) over ``space`` (default: the full rectangle MBR).
 
@@ -467,12 +492,24 @@ def ds_search(
     attaining it, and search counters. With ``delta == 0`` the result is
     exact; with ``delta > 0`` it satisfies ``dopt <= (1+delta) * d*``.
 
-    ``init`` seeds ``(dopt, popt)`` (used by GI-DS to share the incumbent
-    across index cells); ``include_empty`` additionally seeds the
-    empty-region candidate, whose bottom-left corner lies outside every
-    rectangle. A negative ``delta`` raises ``ValueError``.
+    ``init`` seeds ``(dopt, popt)``; ``include_empty`` additionally seeds
+    the empty-region candidate, whose bottom-left corner lies outside
+    every rectangle.
+
+    ``roots`` replaces ``space`` with a lazy stream of ``(lb, space)``
+    root spaces in ascending ``lb`` order, each ``lb`` a valid lower
+    bound over its space (GI-DS feeds its index cells this way). Roots
+    are drawn one at a time and merged with the heap of sub-spaces, so
+    roots and sub-spaces are popped in one best-first order and the scan
+    stops at the first bound ``>= dopt/(1+delta)``; a root is drawn only
+    when its bound must be compared, so at most one more root is drawn
+    than ``stats.roots_processed`` counts. A drawn root whose bound is
+    below its predecessor's raises ``ValueError``, as do both ``space``
+    and ``roots``, and a negative ``delta``.
     """
     check_delta(delta)
+    if roots is not None and space is not None:
+        raise ValueError("pass either space or roots, not both")
     stats = stats if stats is not None else SearchStats()
     space = space if space is not None else prob.space
     if init is not None:
@@ -483,20 +520,31 @@ def ds_search(
         out_pt = (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
         if prob.empty_dist < dopt:
             dopt, popt = prob.empty_dist, out_pt
-    if space.is_degenerate() or prob.n == 0:
+    if prob.n == 0 or (roots is None and space.is_degenerate()):
         return dopt, popt, stats
 
+    stream = _ascending(roots) if roots is not None else iter([(0.0, space)])
+    nxt: tuple[float, Space] | None = None  # the drawn, unprocessed root
     counter = itertools.count()
     # heap entries carry the parent's overlapping-rectangle index so each
     # space filters from its parent's set instead of all n rectangles
-    heap: list[tuple[float, int, Space, np.ndarray | None]] = [
-        (0.0, next(counter), space, None)
-    ]
+    heap: list[tuple[float, int, Space, np.ndarray | None]] = []
     seen: set[tuple[float, float, float, float]] = set()
-    while heap:
-        lb, _, c, parent_idx = heapq.heappop(heap)
+    while True:
+        if nxt is None:
+            nxt = next(stream, None)
+        # a sub-space is taken before a root of equal bound
+        if nxt is not None and (not heap or nxt[0] < heap[0][0]):
+            (lb, c), parent_idx, nxt = nxt, None, None
+            is_root = True
+        elif heap:
+            lb, _, c, parent_idx = heapq.heappop(heap)
+            is_root = False
+        else:
+            break
         if lb >= dopt / (1.0 + delta):
             break
+        stats.roots_processed += is_root
         key = (c.x0, c.x1, c.y0, c.y1)
         if key in seen:
             # identical sub-space already resolved (overlapping sibling

@@ -13,13 +13,18 @@ At query time every candidate cell (bottom-left corners of candidate
 regions) gets a distance lower bound from the *bounded region* (cells
 certainly inside every candidate) and *bounding region* (cells possibly
 intersected) sandwich of Section 5.3, and cells are searched best-first
-with DS-Search (Algorithm 2). Because candidate corners extend up to
+with DS-Search (Algorithm 2). Unlike Algorithm 2, which runs DS-Search
+to completion inside each cell, the cells are the roots of one
+DS-Search: cells and their sub-spaces share one best-first heap, so a
+cell's sub-space is split only while its bound is below every other
+open cell's and sub-space's. The answer is the same; less is searched.
+Because candidate corners extend up to
 ``(a, b)`` beyond the object bbox on the low side, *margin cells* are
 appended at query time so the search stays exact; their summaries fall
 out of the same suffix tables (clipped index ranges).
 
 ``delta > 0`` gives app-GIDS (Section 6): the scan stops once the best
-unsearched cell bound reaches ``dopt / (1 + delta)``.
+unsearched cell or sub-space bound reaches ``dopt / (1 + delta)``.
 """
 from __future__ import annotations
 
@@ -217,20 +222,21 @@ def gi_ds(
     if index is None:
         index = build_grid_index(objects, F, sx, sy)
     ii, jj, lbs = candidate_cell_bounds(index, prob.query_rep, prob.weights, a, b)
-    order = np.argsort(lbs, kind="stable")
     stats = GIStats(total_cells=len(lbs), index_bytes=index.nbytes)
-    for c in order:
-        if lbs[c] >= dopt / (1.0 + delta):
-            break
-        dopt, popt, _ = ds_search(
-            prob,
-            index.cell_space(ii[c], jj[c]),
-            ncol=ncol,
-            nrow=nrow,
-            delta=delta,
-            init=(dopt, popt),
-            include_empty=False,
-            stats=stats.ds,
-        )
-        stats.searched_cells += 1
+    # cells become roots one at a time, in bound order, as the search draws them
+    roots = (
+        (float(lbs[c]), index.cell_space(ii[c], jj[c]))
+        for c in np.argsort(lbs, kind="stable")
+    )
+    dopt, popt, _ = ds_search(
+        prob,
+        roots=roots,
+        ncol=ncol,
+        nrow=nrow,
+        delta=delta,
+        init=(dopt, popt),
+        include_empty=False,
+        stats=stats.ds,
+    )
+    stats.searched_cells = stats.ds.roots_processed
     return dopt, popt, stats

@@ -6,10 +6,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import gridindex
 from repro.core.aggregators import CompositeAggregator, dist_agg, sum_agg
 from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import ds_search
+from repro.core.geometry import Space
 from repro.core.gridindex import (
+    GridIndex,
     build_grid_index,
     candidate_cell_bounds,
     gi_ds,
@@ -153,3 +156,150 @@ class TestGIDS:
         _, _, s_exact = gi_ds(df, F, qrep, w, a, b, sx=10, sy=10)
         _, _, s_app = gi_ds(df, F, qrep, w, a, b, sx=10, sy=10, delta=0.4)
         assert s_app.searched_cells <= s_exact.searched_cells
+
+
+def per_cell_gi_ds(df, F, qrep, w, a, b, sx, sy):
+    """Exact GI-DS as Algorithm 2 writes it: a separate DS-Search to
+    completion inside each index cell, in bound order (the oracle for the
+    shared-heap scan)."""
+    prob = build_asp(df, F, qrep, w, a, b)
+    dopt = prob.empty_dist
+    popt = (prob.space.x1 + a + 1.0, prob.space.y1 + b + 1.0)
+    index = build_grid_index(df, F, sx, sy)
+    ii, jj, lbs = candidate_cell_bounds(index, prob.query_rep, prob.weights, a, b)
+    for c in np.argsort(lbs, kind="stable"):
+        if lbs[c] >= dopt:
+            break
+        dopt, popt, _ = ds_search(
+            prob, index.cell_space(ii[c], jj[c]), init=(dopt, popt), include_empty=False
+        )
+    return dopt, popt
+
+
+class TestSharedHeap:
+    """GI-DS runs one DS-Search whose roots are the index cells, drawn
+    lazily in bound order."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_ds_search_call(self, seed, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ds_search(*args, **kwargs)
+
+        monkeypatch.setattr(gridindex, "ds_search", counting)
+        df, F, qrep, w, a, b = make_inputs(seed, n=60)
+        _, _, stats = gi_ds(df, F, qrep, w, a, b, sx=8, sy=8)
+        assert stats.searched_cells > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_cells_built_lazily(self, seed, delta, monkeypatch):
+        built = []
+        cell_space = GridIndex.cell_space
+
+        def counting(self, i, j):
+            built.append((i, j))
+            return cell_space(self, i, j)
+
+        monkeypatch.setattr(GridIndex, "cell_space", counting)
+        df, F, qrep, w, a, b = make_inputs(seed, n=60)
+        _, _, stats = gi_ds(df, F, qrep, w, a, b, sx=8, sy=8, delta=delta)
+        # an eager root list would build every candidate cell
+        assert stats.searched_cells + 1 < stats.total_cells
+        assert len(built) <= stats.searched_cells + 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_cell_loop(self, seed):
+        df, F, qrep, w, a, b = make_inputs(seed, n=60)
+        expected, _ = per_cell_gi_ds(df, F, qrep, w, a, b, 8, 8)
+        got, pt, _ = gi_ds(df, F, qrep, w, a, b, sx=8, sy=8)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert build_asp(df, F, qrep, w, a, b).point_dist(*pt) == pytest.approx(got, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_root_equals_space(self, seed):
+        df, F, qrep, w, a, b = make_inputs(seed, n=60)
+        prob = build_asp(df, F, qrep, w, a, b)
+        d1, p1, s1 = ds_search(prob)
+        d2, p2, s2 = ds_search(prob, roots=[(0.0, prob.space)])
+        assert (d1, p1, s1) == (d2, p2, s2)
+
+    @pytest.mark.parametrize("bad_lb", [-1.0, float("nan")])
+    def test_unsorted_roots_raise(self, bad_lb):
+        df, F, qrep, w, a, b = make_inputs(0, n=30)
+        prob = build_asp(df, F, qrep, w, a, b)
+        s = prob.space
+        mx = (s.x0 + s.x1) / 2
+        roots = [(0.0, Space(s.x0, mx, s.y0, s.y1)), (bad_lb, Space(mx, s.x1, s.y0, s.y1))]
+        with pytest.raises(ValueError, match="roots"):
+            ds_search(prob, roots=roots)
+
+    def test_space_and_roots_raise(self):
+        df, F, qrep, w, a, b = make_inputs(0, n=30)
+        prob = build_asp(df, F, qrep, w, a, b)
+        with pytest.raises(ValueError, match="roots"):
+            ds_search(prob, prob.space, roots=[(0.0, prob.space)])
+
+
+def _adversarial_objects(case: str, rng: np.random.Generator) -> tuple[pd.DataFrame, float, float]:
+    """Objects and region size ``(a, b)`` for one adversarial GI-DS case;
+    the index is 6 x 6 over the objects' bounding box."""
+    n = 40
+    color = rng.choice(COLORS, n)
+    val = np.round(rng.uniform(-5, 10, n), 2)
+    if case == "cell_edges":
+        # box [0, 6]^2, so the index cells are unit squares; integer
+        # coordinates and sizes put every object and rectangle edge on a
+        # cell edge
+        x = np.r_[0.0, 6.0, rng.integers(0, 7, n - 2)].astype(float)
+        y = np.r_[0.0, 6.0, rng.integers(0, 7, n - 2)].astype(float)
+        a, b = float(rng.integers(1, 3)), float(rng.integers(1, 3))
+    elif case == "duplicates":
+        k = rng.integers(0, 8, n)
+        x = np.round(rng.uniform(0, 6, 8) / 0.5)[k] * 0.5
+        y = np.round(rng.uniform(0, 6, 8) / 0.5)[k] * 0.5
+        a, b = 1.5, 1.0
+    elif case == "one_x":
+        x = np.full(n, 3.0)
+        y = np.round(rng.uniform(0, 6, n) / 0.25) * 0.25
+        a, b = 1.0, 1.5
+    elif case == "large_region":
+        x = np.round(rng.uniform(0, 5, n) / 0.25) * 0.25
+        y = np.round(rng.uniform(0, 5, n) / 0.25) * 0.25
+        a, b = 12.0, 9.0
+    else:  # "zero" or "one" objects
+        n = 0 if case == "zero" else 1
+        x, y, color, val = np.full(n, 2.0), np.full(n, 3.0), color[:n], val[:n]
+        a, b = 1.0, 1.0
+    return pd.DataFrame({"x": x, "y": y, "color": color, "val": val}), a, b
+
+
+class TestAdversarialGIDS:
+    """GI-DS (delta 0) and app-GIDS (delta 0.2) against brute force on
+    inputs that stress the index: edges on cell edges, duplicates, a
+    degenerate box, a region larger than the box, zero and one objects."""
+
+    @pytest.mark.parametrize("zoo_idx", range(5))
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    @pytest.mark.parametrize(
+        "case", ["cell_edges", "duplicates", "one_x", "large_region", "zero", "one"]
+    )
+    def test_matches_brute_force(self, case, delta, zoo_idx):
+        rng = np.random.default_rng(zoo_idx)
+        F = aggregator_zoo()[zoo_idx]
+        df, a, b = _adversarial_objects(case, rng)
+        # a query-by-example target from a lattice table, scaled so the
+        # optimum is rarely an exact match
+        qrep, w = random_query(rng, F, random_objects(rng, 30), a, b)
+        qrep = qrep * 0.8
+        prob = build_asp(df, F, qrep, w, a, b)
+        opt, _ = brute_force_asp(prob)
+        got, pt, _ = gi_ds(df, F, qrep, w, a, b, sx=6, sy=6, delta=delta)
+        if delta == 0.0:
+            assert got == pytest.approx(opt, abs=1e-8)
+        else:
+            assert opt - 1e-8 <= got <= (1 + delta) * opt + 1e-8
+        assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
