@@ -61,7 +61,7 @@ from repro.core.reduction import ASPProblem, check_delta
 
 #: If a space overlaps at most this many rectangles, resolve it by exact
 #: enumeration instead of another discretize/split round. Pure
-#: constant-factor guard (enumeration is exact); 0 disables.
+#: constant-factor guard (enumeration is exact).
 DEFAULT_ENUM_RECTS = 16
 
 #: If a space's local arrangement is small — (interior x-edges + 1) *
@@ -480,9 +480,6 @@ def ds_search(
     nrow: int = 30,
     delta: float = 0.0,
     init: tuple[float, tuple[float, float]] | None = None,
-    include_empty: bool = True,
-    enum_rects: int = DEFAULT_ENUM_RECTS,
-    enum_points: int = DEFAULT_ENUM_POINTS,
     stats: SearchStats | None = None,
     roots: Iterable[tuple[float, Space]] | None = None,
 ) -> tuple[float, tuple[float, float], SearchStats]:
@@ -492,9 +489,13 @@ def ds_search(
     attaining it, and search counters. With ``delta == 0`` the result is
     exact; with ``delta > 0`` it satisfies ``dopt <= (1+delta) * d*``.
 
-    ``init`` seeds ``(dopt, popt)``; ``include_empty`` additionally seeds
-    the empty-region candidate, whose bottom-left corner lies outside
-    every rectangle.
+    ``init`` seeds ``(dopt, popt)``. The empty-region candidate, whose
+    bottom-left corner lies outside every rectangle, is always seeded
+    too; it replaces ``init`` only when strictly closer.
+
+    Spaces small enough by ``DEFAULT_ENUM_RECTS`` or
+    ``DEFAULT_ENUM_POINTS`` (read at call time) are resolved by the
+    exact local sweep.
 
     ``roots`` replaces ``space`` with a lazy stream of ``(lb, space)``
     root spaces in ascending ``lb`` order, each ``lb`` a valid lower
@@ -512,14 +513,10 @@ def ds_search(
         raise ValueError("pass either space or roots, not both")
     stats = stats if stats is not None else SearchStats()
     space = space if space is not None else prob.space
-    if init is not None:
-        dopt, popt = init
-    else:
-        dopt, popt = np.inf, (space.x1 + prob.a + 1.0, space.y1 + prob.b + 1.0)
-    if include_empty:
-        out_pt = (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
-        if prob.empty_dist < dopt:
-            dopt, popt = prob.empty_dist, out_pt
+    out_pt = (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
+    dopt, popt = init if init is not None else (np.inf, out_pt)
+    if prob.empty_dist < dopt:
+        dopt, popt = prob.empty_dist, out_pt
     if prob.n == 0 or (roots is None and space.is_degenerate()):
         return dopt, popt, stats
 
@@ -556,12 +553,14 @@ def ds_search(
             continue
         idx = prob.overlapping(c) if parent_idx is None else _within(prob, c, parent_idx)
         ex = ey = -1
-        small = enum_rects and len(idx) <= enum_rects
-        if not small and enum_points:
+        small = len(idx) <= DEFAULT_ENUM_RECTS
+        # a zero budget also keeps ex = ey = -1: the sliver recursion below
+        # ends only through this budget, so it must be off with it
+        if not small and DEFAULT_ENUM_POINTS:
             ex, ey = interior_edge_counts(prob, c, idx)
             # local sweep cost is O((ex+1) * Ey) — resolve exactly once the
             # local arrangement fits the budget
-            small = (ex + 1) * (ey + 1) <= enum_points
+            small = (ex + 1) * (ey + 1) <= DEFAULT_ENUM_POINTS
         if small:
             d, pt = enumerate_space(prob, c, stats, idx)
             if d < dopt:

@@ -215,9 +215,8 @@ def gi_ds(
     """
     check_delta(delta)
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
-    dopt = prob.empty_dist
-    popt = (prob.space.x1 + a + 1.0, prob.space.y1 + b + 1.0)
     if prob.n == 0:
+        dopt, popt, _ = ds_search(prob)
         return dopt, popt, GIStats()
     if index is None:
         index = build_grid_index(objects, F, sx, sy)
@@ -234,8 +233,6 @@ def gi_ds(
         ncol=ncol,
         nrow=nrow,
         delta=delta,
-        init=(dopt, popt),
-        include_empty=False,
         stats=stats.ds,
     )
     stats.searched_cells = stats.ds.roots_processed

@@ -175,7 +175,7 @@ def gi_ds_distributed(
             prob = build_asp(local, F, query_rep, weights, a, b, accuracy=accuracy)
             dopt, popt, _ = ds_search(
                 prob, cell, ncol=ncol, nrow=nrow, delta=delta,
-                init=(dopt, popt), include_empty=False,
+                init=(dopt, popt),
             )
     stats.seed_dist = dopt
 
@@ -216,7 +216,7 @@ def gi_ds_distributed(
             )
             d, (px, py), st = ds_search(
                 prob, cell, ncol=ncol, nrow=nrow, delta=delta,
-                init=(seed_dopt, (np.nan, np.nan)), include_empty=False,
+                init=(seed_dopt, (np.nan, np.nan)),
             )
             rows.append((i, j, d, px, py, st.spaces_processed, task))
         yield pd.DataFrame(

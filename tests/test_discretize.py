@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import dssearch
 from repro.core.aggregators import CompositeAggregator, dist_agg, sum_agg
 from repro.core.distance import weighted_l1
 from repro.core.dssearch import SearchStats, _cell_boxes, discretize, ds_search
@@ -212,7 +213,7 @@ def ulp_thin_prob(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind", ["lattice", "ulp_thin"])
-def test_adversarial_grids_exact(kind, seed):
+def test_adversarial_grids_exact(kind, seed, monkeypatch):
     from repro.core.bruteforce import brute_force_asp
 
     prob = lattice_prob(seed) if kind == "lattice" else ulp_thin_prob(seed)
@@ -226,8 +227,9 @@ def test_adversarial_grids_exact(kind, seed):
     expected, _ = brute_force_asp(prob)
     # a small enumeration budget: the lattice instance's whole arrangement
     # would otherwise be enumerated at the root, with no discretize at all
-    budget = {"enum_points": 64} if kind == "lattice" else {}
-    got, pt, stats = ds_search(prob, ncol=grid[0], nrow=grid[1], **budget)
+    if kind == "lattice":
+        monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 64)
+    got, pt, stats = ds_search(prob, ncol=grid[0], nrow=grid[1])
     assert stats.cells_seen > 0  # the search discretized, not only enumerated
     assert got == pytest.approx(expected, abs=1e-9)
     assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-9)

@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import dssearch
 from repro.core.aggregators import CompositeAggregator, dist_agg
 from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import (
@@ -31,6 +32,12 @@ def random_prob(seed, n=30, zoo_idx=None):
     a, b = float(rng.uniform(0.6, 3.0)), float(rng.uniform(0.6, 3.0))
     qrep, w = random_query(rng, F, df, a, b)
     return build_asp(df, F, qrep, w, a, b)
+
+
+def no_enum_guard(monkeypatch):
+    """Turn off the small-space enumeration shortcut."""
+    monkeypatch.setattr(dssearch, "DEFAULT_ENUM_RECTS", 0)
+    monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 0)
 
 
 def brute_force_in(prob, s):
@@ -60,11 +67,12 @@ class TestExactness:
         assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_matches_brute_force_without_enum_guard(self, seed):
+    def test_matches_brute_force_without_enum_guard(self, seed, monkeypatch):
         """Pure paper algorithm: no small-space enumeration shortcut."""
+        no_enum_guard(monkeypatch)
         prob = random_prob(seed, n=20)
         expected, _ = brute_force_asp(prob)
-        got, _, _ = ds_search(prob, enum_rects=0, enum_points=0)
+        got, _, _ = ds_search(prob)
         assert got == pytest.approx(expected, abs=1e-8)
 
     @pytest.mark.parametrize("grid", [(5, 5), (10, 20), (30, 30)])
@@ -210,7 +218,7 @@ class TestDropAndTermination:
                 assert sub.x0 < px < sub.x1 and sub.y0 < py < sub.y1
                 assert prob.point_dist(px, py) == pytest.approx(d, abs=1e-12)
 
-    def test_coarse_accuracy_triggers_drop_and_stays_exact(self):
+    def test_coarse_accuracy_triggers_drop_and_stays_exact(self, monkeypatch):
         """Overriding the accuracies with huge values forces the drop path
         immediately; the in-cell enumeration must keep the result exact."""
         rng = np.random.default_rng(5)
@@ -221,11 +229,12 @@ class TestDropAndTermination:
         qrep, w = np.array([1.5, 0.5, 0.5]), np.ones(3)
         prob = build_asp(df, F, qrep, w, 1.5, 1.5, accuracy=(1e9, 1e9))
         expected, _ = brute_force_asp(prob)
-        got, _, stats = ds_search(prob, enum_rects=0, enum_points=0)
+        no_enum_guard(monkeypatch)
+        got, _, stats = ds_search(prob)
         assert got == pytest.approx(expected, abs=1e-8)
         assert stats.drop_events >= 1
 
-    def test_search_terminates_on_adversarial_alignment(self):
+    def test_search_terminates_on_adversarial_alignment(self, monkeypatch):
         """Many identical coordinates -> degenerate accuracy gaps."""
         df = pd.DataFrame(
             {"x": np.tile([1.0, 2.0], 10), "y": np.repeat([1.0, 2.0], 10),
@@ -234,7 +243,8 @@ class TestDropAndTermination:
         F = CompositeAggregator((dist_agg("color", domain=("red", "blue")),))
         prob = build_asp(df, F, np.array([5.0, 5.0]), np.ones(2), 0.7, 0.7)
         expected, _ = brute_force_asp(prob)
-        got, _, _ = ds_search(prob, enum_rects=0, enum_points=0)
+        no_enum_guard(monkeypatch)
+        got, _, _ = ds_search(prob)
         assert got == pytest.approx(expected, abs=1e-8)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import dssearch
 from repro.core.aggregators import CompositeAggregator, dist_agg, sum_agg
 from repro.core.dssearch import (
     _accum_planes,
@@ -115,7 +116,7 @@ class TestInteriorEdges:
 
 class TestEnumerationTrigger:
     @pytest.mark.parametrize("budget", [0, 64, 100000])
-    def test_any_budget_is_exact(self, budget):
+    def test_any_budget_is_exact(self, budget, monkeypatch):
         from repro.core.bruteforce import brute_force_asp
 
         rng = np.random.default_rng(11)
@@ -124,16 +125,19 @@ class TestEnumerationTrigger:
         qrep, w = random_query(rng, F, df, 1.5, 1.5)
         prob = build_asp(df, F, qrep, w, 1.5, 1.5)
         expected, _ = brute_force_asp(prob)
-        got, _, _ = ds_search(prob, enum_points=budget)
+        monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", budget)
+        got, _, _ = ds_search(prob)
         assert got == pytest.approx(expected, abs=1e-8)
 
-    def test_huge_budget_enumerates_root(self):
+    def test_huge_budget_enumerates_root(self, monkeypatch):
         rng = np.random.default_rng(12)
         df = random_objects(rng, 20)
         F = aggregator_zoo()[0]
         qrep, w = random_query(rng, F, df, 1.5, 1.5)
         prob = build_asp(df, F, qrep, w, 1.5, 1.5)
-        _, _, stats = ds_search(prob, enum_points=10**9, enum_rects=0)
+        monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 10**9)
+        monkeypatch.setattr(dssearch, "DEFAULT_ENUM_RECTS", 0)
+        _, _, stats = ds_search(prob)
         assert stats.enum_spaces == 1
         assert stats.spaces_processed == 1
 

@@ -171,7 +171,7 @@ def per_cell_gi_ds(df, F, qrep, w, a, b, sx, sy):
         if lbs[c] >= dopt:
             break
         dopt, popt, _ = ds_search(
-            prob, index.cell_space(ii[c], jj[c]), init=(dopt, popt), include_empty=False
+            prob, index.cell_space(ii[c], jj[c]), init=(dopt, popt)
         )
     return dopt, popt
 
