@@ -4,11 +4,15 @@ Paper: 5e6 Tweet objects at query sizes q..30q (13a) and cardinalities
 1e6..1e7 at 20q (13b); DS-Search about an order of magnitude faster.
 Ours: 20K objects (13a) and 2K..20K (13b). Claims: both return the same
 maximum count; at paper scale DS-Search is faster than OE at 30q.
+
+Each row carries OE's work next to DS-Search's counters: ``oe_leaves``,
+the elementary x-intervals its segment tree is built over (it sweeps 2n
+events, one range add each).
 """
 from __future__ import annotations
 
 from benchmarks import SEED, call
-from repro.core.maxrs import ds_maxrs, oe_maxrs
+from repro.core.maxrs import ds_maxrs, oe_edges, oe_maxrs
 from repro.synth_data import tweets_pdf
 from repro.workloads import query_size
 
@@ -26,6 +30,7 @@ def _row(sweep: str, pdf, k: int) -> dict:
         "query_size": f"{k}q",
         "ds": call(ds_maxrs, pdf, a, b),
         "oe": call(oe_maxrs, x, y, a, b),
+        "oe_leaves": len(oe_edges(x, a)) - 1,
     }
 
 
