@@ -63,11 +63,6 @@ class Selection:
             return np.ones(len(df), dtype=bool)
         return df[self.attr].isin(self.values).to_numpy()
 
-    def describe(self) -> str:
-        if self.attr is None:
-            return "all"
-        return f"{self.attr}∈{list(self.values)}"
-
 
 ALL = Selection()
 
@@ -118,21 +113,21 @@ def sum_agg(attr: str, gamma: Selection = ALL) -> AggregatorSpec:
 
 @dataclass
 class PreparedSpec:
-    """A spec bound to a concrete object table.
-
-    ``weights`` has shape ``(n_objects, n_channels)``; summing rows over
-    any object subset yields that subset's channel sums.
-    """
+    """A spec bound to a concrete object table: its fD domain, or its
+    gamma-selected value range ``[amin, amax]``."""
 
     spec: AggregatorSpec
-    weights: np.ndarray
     domain: tuple = ()
     amin: float = 0.0
     amax: float = 0.0
 
     @property
     def n_channels(self) -> int:
-        return self.weights.shape[1]
+        """The channel layout of the module docstring's table."""
+        k = self.spec.kind
+        if k == "dist":
+            return len(self.domain)
+        return 2 if k == "sum" else 3 + AVG_BUCKETS
 
     @property
     def out_dim(self) -> int:
@@ -204,7 +199,9 @@ class PreparedSpec:
 class Prepared:
     """A composite aggregator bound to a concrete object table.
 
-    The specs' channels sit side by side: spec ``i`` owns the columns
+    ``weights`` has shape ``(n_objects, n_channels)``; summing rows over
+    any object subset yields that subset's channel sums. The specs'
+    channels sit side by side: spec ``i`` owns the columns
     ``ch_slices[i]`` of ``weights`` and of every channel-sum array.
     """
 
@@ -288,14 +285,10 @@ def prepare_meta(
                 raise ValueError(
                     f"spec {i}: fD needs an explicit domain for metadata-only prepare"
                 )
-            w = np.zeros((0, len(domain)))
-            prepared.append(PreparedSpec(spec, w, domain=domain))
+            prepared.append(PreparedSpec(spec, domain=domain))
         else:
             amin, amax = minmax.get(i, (0.0, 0.0))
-            nch = 2 if spec.kind == "sum" else 3 + AVG_BUCKETS
-            prepared.append(
-                PreparedSpec(spec, np.zeros((0, nch)), amin=float(amin), amax=float(amax))
-            )
+            prepared.append(PreparedSpec(spec, amin=float(amin), amax=float(amax)))
     return Prepared(prepared, np.zeros((0, sum(ps.n_channels for ps in prepared))))
 
 
@@ -308,6 +301,7 @@ class CompositeAggregator:
     def prepare(self, df: pd.DataFrame) -> Prepared:
         """Bind to an object table, materialising per-object channel weights."""
         prepared: list[PreparedSpec] = []
+        blocks: list[np.ndarray] = []
         for spec in self.specs:
             gmask = spec.gamma.mask(df).astype(np.float64)
             if spec.kind == "dist":
@@ -322,7 +316,7 @@ class CompositeAggregator:
                 valid = codes >= 0
                 w[np.arange(len(df))[valid], codes[valid]] = 1.0
                 w *= gmask[:, None]
-                prepared.append(PreparedSpec(spec, w, domain=domain))
+                prepared.append(PreparedSpec(spec, domain=domain))
             else:
                 vals = df[spec.attr].to_numpy(dtype=np.float64)
                 pos = np.maximum(vals, 0.0) * gmask
@@ -337,10 +331,7 @@ class CompositeAggregator:
                     w = np.concatenate(
                         [np.stack([gmask, pos, neg], axis=1), buckets], axis=1
                     )
-                prepared.append(PreparedSpec(spec, w, amin=amin, amax=amax))
-        weights = (
-            np.concatenate([ps.weights for ps in prepared], axis=1)
-            if prepared
-            else np.zeros((len(df), 0))
-        )
+                prepared.append(PreparedSpec(spec, amin=amin, amax=amax))
+            blocks.append(w)
+        weights = np.concatenate(blocks, axis=1) if blocks else np.zeros((len(df), 0))
         return Prepared(prepared, weights)

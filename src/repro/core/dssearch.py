@@ -59,11 +59,6 @@ from repro.core.distance import lower_bound, weighted_l1
 from repro.core.geometry import Space
 from repro.core.reduction import ASPProblem, check_delta
 
-#: If a space overlaps at most this many rectangles, resolve it by exact
-#: enumeration instead of another discretize/split round. Pure
-#: constant-factor guard (enumeration is exact).
-DEFAULT_ENUM_RECTS = 16
-
 #: If a space's local arrangement is small — (interior x-edges + 1) *
 #: (interior y-edges + 1) at most this — resolve it by the exact local
 #: sweep. This is what terminates sliver sub-spaces that are thinner
@@ -493,9 +488,8 @@ def ds_search(
     bottom-left corner lies outside every rectangle, is always seeded
     too; it replaces ``init`` only when strictly closer.
 
-    Spaces small enough by ``DEFAULT_ENUM_RECTS`` or
-    ``DEFAULT_ENUM_POINTS`` (read at call time) are resolved by the
-    exact local sweep.
+    Spaces whose local arrangement fits ``DEFAULT_ENUM_POINTS`` (read at
+    call time) are resolved by the exact local sweep.
 
     ``roots`` replaces ``space`` with a lazy stream of ``(lb, space)``
     root spaces in ascending ``lb`` order, each ``lb`` a valid lower
@@ -553,19 +547,17 @@ def ds_search(
             continue
         idx = prob.overlapping(c) if parent_idx is None else _within(prob, c, parent_idx)
         ex = ey = -1
-        small = len(idx) <= DEFAULT_ENUM_RECTS
         # a zero budget also keeps ex = ey = -1: the sliver recursion below
         # ends only through this budget, so it must be off with it
-        if not small and DEFAULT_ENUM_POINTS:
+        if DEFAULT_ENUM_POINTS:
             ex, ey = interior_edge_counts(prob, c, idx)
             # local sweep cost is O((ex+1) * Ey) — resolve exactly once the
             # local arrangement fits the budget
-            small = (ex + 1) * (ey + 1) <= DEFAULT_ENUM_POINTS
-        if small:
-            d, pt = enumerate_space(prob, c, stats, idx)
-            if d < dopt:
-                dopt, popt = d, pt
-            continue
+            if (ex + 1) * (ey + 1) <= DEFAULT_ENUM_POINTS:
+                d, pt = enumerate_space(prob, c, stats, idx)
+                if d < dopt:
+                    dopt, popt = d, pt
+                continue
         # A space that is a sliver in one axis (<= 2 interior edge
         # coordinates) can never satisfy the two-axis drop condition and
         # 2-D MBR splits cannot shrink it; recurse 1-D instead, putting

@@ -185,10 +185,6 @@ class GIStats:
     index_bytes: int = 0
     ds: SearchStats = field(default_factory=SearchStats)
 
-    @property
-    def searched_ratio(self) -> float:
-        return self.searched_cells / self.total_cells if self.total_cells else 0.0
-
 
 def gi_ds(
     objects: pd.DataFrame,

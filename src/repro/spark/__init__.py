@@ -4,8 +4,6 @@ The paper's contribution is a search algorithm, not a planner rule, so
 (per DESIGN.md's layering note) it is expressed here as
 ``DataFrame -> DataFrame`` transformations:
 
-- ``aggregates``: aggregate representations ``F(r)`` as Catalyst
-  ``groupBy`` aggregations (checked against the DuckDB oracle);
 - ``cellify``: grid-cell assignment and the reduced-rectangle ->
   candidate-cell explosion (the geo-partitioning of the scan);
 - ``summaries``: the grid index's attribute summary tables: one

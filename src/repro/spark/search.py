@@ -55,7 +55,7 @@ from repro.core.geometry import Space
 from repro.core.gridindex import GridIndex, candidate_cell_bounds
 from repro.core.reduction import build_asp, check_delta, check_query, check_sizes
 from repro.spark.cellify import explode_to_candidate_cells
-from repro.spark.summaries import build_grid_index_spark
+from repro.spark.summaries import build_grid_index_spark, resolve_domains
 
 _RESULT_SCHEMA = (
     "ci long, cj long, dist double, px double, py double, spaces long, task int"
@@ -137,8 +137,6 @@ def gi_ds_distributed(
     if index is None:
         index, F = build_grid_index_spark(df, F, sx, sy)
     else:
-        from repro.spark.aggregates import resolve_domains
-
         F = resolve_domains(df, F)
     meta = prepare_meta(
         F,

@@ -18,10 +18,37 @@ import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as sf
 
-from repro.core.aggregators import CompositeAggregator, prepare_meta
+from repro.core.aggregators import (
+    AggregatorSpec,
+    CompositeAggregator,
+    Selection,
+    prepare_meta,
+)
 from repro.core.gridindex import GridIndex, suffix_summaries
-from repro.spark.aggregates import gamma_cond, resolve_domains
 from repro.spark.cellify import with_cell_ids
+
+
+def gamma_cond(gamma: Selection) -> Column:
+    """The selection function as a Catalyst boolean expression."""
+    if gamma.attr is None:
+        return sf.lit(True)
+    return sf.col(gamma.attr).isin(list(gamma.values))
+
+
+def resolve_domains(df: DataFrame, F: CompositeAggregator) -> CompositeAggregator:
+    """Return ``F`` with every fD domain made explicit (distinct scan for
+    any spec that left it empty). Required before any distributed use —
+    a worker must not derive a partition-local domain."""
+    specs = []
+    for spec in F.specs:
+        if spec.kind == "dist" and not spec.domain:
+            vals = [r[0] for r in df.select(spec.attr).distinct().collect()]
+            specs.append(
+                AggregatorSpec(spec.kind, spec.attr, spec.gamma, tuple(sorted(vals)))
+            )
+        else:
+            specs.append(spec)
+    return CompositeAggregator(tuple(specs))
 
 
 def channel_exprs(

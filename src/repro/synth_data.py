@@ -6,12 +6,10 @@ same locations with ``rating`` / ``visits``; plus the Singapore POIs of
 the case study. Coordinates are snapped to a 2^20 lattice so the GPS
 horizontal/vertical accuracies (Definition 7) are bounded below, exactly
 as the paper's Delta = 1e-8 bounds them for real GPS. Each dataset comes
-as a pandas table (``*_pdf``) and as a Spark DataFrame built from it;
-generators are deterministic in ``seed``.
+as a pandas table (``*_pdf``); generators are deterministic in ``seed``.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -111,14 +109,6 @@ def poisyn_pdf(n: int, seed: int = 7) -> pd.DataFrame:
     return pd.DataFrame({"x": x, "y": y, "rating": rating, "visits": visits})
 
 
-def tweets(spark: SparkSession, *, n: int, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(tweets_pdf(n, seed))
-
-
-def poisyn(spark: SparkSession, *, n: int, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(poisyn_pdf(n, seed))
-
-
 SG_CATEGORIES = ("Food", "Shop", "Nightlife", "Arts", "Transport", "Residence")
 
 
@@ -149,7 +139,3 @@ def sg_pois_pdf(seed: int = 11, n_per_district: int = 450, n_background: int = 3
     pdf["x"] = _snap(np.clip(pdf["x"].to_numpy(), x0, x1), x0, x1)
     pdf["y"] = _snap(np.clip(pdf["y"].to_numpy(), y0, y1), y0, y1)
     return pdf
-
-
-def sg_pois(spark: SparkSession, *, seed: int = 11) -> DataFrame:
-    return spark.createDataFrame(sg_pois_pdf(seed))

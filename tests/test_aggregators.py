@@ -77,10 +77,6 @@ class TestSelection:
         sel = Selection("category", ("Apartment", "Bus stop"))
         assert sel.mask(df).sum() == 3
 
-    def test_describe(self):
-        assert ALL.describe() == "all"
-        assert "category" in APT.describe()
-
 
 class TestPrepared:
     def test_dist_channels_one_hot(self):

@@ -36,7 +36,6 @@ def random_prob(seed, n=30, zoo_idx=None):
 
 def no_enum_guard(monkeypatch):
     """Turn off the small-space enumeration shortcut."""
-    monkeypatch.setattr(dssearch, "DEFAULT_ENUM_RECTS", 0)
     monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 0)
 
 

@@ -136,7 +136,6 @@ class TestEnumerationTrigger:
         qrep, w = random_query(rng, F, df, 1.5, 1.5)
         prob = build_asp(df, F, qrep, w, 1.5, 1.5)
         monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 10**9)
-        monkeypatch.setattr(dssearch, "DEFAULT_ENUM_RECTS", 0)
         _, _, stats = ds_search(prob)
         assert stats.enum_spaces == 1
         assert stats.spaces_processed == 1

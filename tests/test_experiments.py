@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from benchmarks import fig8, fig9, fig10, fig11, fig12, fig13, table1, table2
@@ -69,8 +68,6 @@ def test_table2():
 
 
 def load_job(name: str):
-    if str(JOBS) not in sys.path:
-        sys.path.insert(0, str(JOBS))
     spec = importlib.util.spec_from_file_location(name, JOBS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
@@ -78,16 +75,16 @@ def load_job(name: str):
 
 
 def test_run_asrs_job(spark, capsys):
-    df = load_job("run_asrs").run(spark, n=3_000, k=10.0)
-    row = df.toPandas().iloc[0]
+    row = load_job("run_asrs").run(spark, n=3_000, k=10.0)
     assert row["distance"] >= 0
     assert row["region_x1"] - row["region_x0"] > 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
     assert len(lines) == 1
-    stats = json.loads(lines[0])
-    assert stats["total_cells"] == row["total_cells"]
-    assert stats["candidate_cells"] == row["candidate_cells"]
-    assert stats["seed_dist"] >= row["distance"] - 1e-4  # distance is rounded
+    line = json.loads(lines[0])
+    assert line["result"] == row
+    stats = line["stats"]
+    assert 0 <= stats["candidate_cells"] <= stats["total_cells"]
+    assert stats["seed_dist"] >= row["distance"]
     assert stats["wall_ms"] > 0
     if stats["candidate_cells"]:
         assert stats["scan_tasks"] >= 1

@@ -15,8 +15,9 @@ from repro.spark.summaries import (
     build_grid_index_spark,
     cell_channel_sums,
     channel_exprs,
+    resolve_domains,
 )
-from tests.conftest import COLORS, random_objects
+from tests.conftest import COLORS, aggregator_zoo, random_objects
 
 F_MIXED = CompositeAggregator(
     (dist_agg("color", domain=COLORS), sum_agg("val"), avg("val"))
@@ -34,23 +35,39 @@ def sdf(spark, pdf):
 
 
 class TestChannelExprs:
+    """Every aggregator of the zoo, selections included (``gamma_cond``)."""
+
     def test_channel_count_matches_core(self, sdf, pdf):
-        prepared = F_MIXED.prepare(pdf)
-        mm = avg_spec_minmax(sdf, F_MIXED)
-        assert len(channel_exprs(F_MIXED, mm)) == prepared.n_channels + 1
+        for F in aggregator_zoo():
+            prepared = F.prepare(pdf)
+            mm = avg_spec_minmax(sdf, F)
+            assert len(channel_exprs(F, mm)) == prepared.n_channels + 1, F
 
     def test_channel_sums_match_core_weights(self, spark, sdf, pdf):
-        mm = avg_spec_minmax(sdf, F_MIXED)
-        totals = (
-            sdf.select(*channel_exprs(F_MIXED, mm))
-            .groupBy()
-            .sum()
-            .toPandas()
-            .to_numpy()[0]
-        )
-        prepared = F_MIXED.prepare(pdf)
-        expected = np.concatenate([prepared.weights.sum(axis=0), [len(pdf)]])
-        np.testing.assert_allclose(totals, expected, atol=1e-9)
+        for F in aggregator_zoo():
+            mm = avg_spec_minmax(sdf, F)
+            totals = (
+                sdf.select(*channel_exprs(F, mm))
+                .groupBy()
+                .sum()
+                .toPandas()
+                .to_numpy()[0]
+            )
+            prepared = F.prepare(pdf)
+            expected = np.concatenate([prepared.weights.sum(axis=0), [len(pdf)]])
+            np.testing.assert_allclose(totals, expected, atol=1e-9, err_msg=str(F))
+
+
+class TestResolveDomains:
+    def test_fills_missing_domain_sorted(self, sdf):
+        F = CompositeAggregator((dist_agg("color"),))
+        R = resolve_domains(sdf, F)
+        assert R.specs[0].domain == tuple(sorted(COLORS))
+
+    def test_keeps_explicit_domain(self, sdf):
+        F = CompositeAggregator((dist_agg("color", domain=("red",)),))
+        R = resolve_domains(sdf, F)
+        assert R.specs[0].domain == ("red",)
 
 
 class TestCellSums:

@@ -126,23 +126,3 @@ class TestSgPois:
         d_diff = np.abs(mix("orchard") - mix("bugis")).sum()
         assert d_sim < d_diff / 3
 
-
-class TestSparkWrappers:
-    def test_tweets_sdf(self, spark):
-        from repro.synth_data import tweets
-
-        sdf = tweets(spark, n=500, seed=1)
-        assert sdf.count() == 500
-        assert set(sdf.columns) == {"x", "y", "day_of_week"}
-
-    def test_poisyn_sdf(self, spark):
-        from repro.synth_data import poisyn
-
-        sdf = poisyn(spark, n=300, seed=1)
-        assert sdf.count() == 300
-
-    def test_sg_pois_sdf(self, spark):
-        from repro.synth_data import sg_pois
-
-        sdf = sg_pois(spark)
-        assert sdf.count() > 4000
