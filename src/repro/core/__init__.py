@@ -10,10 +10,12 @@ Layout
 - ``reduction``: the ASRS -> ASP reduction (Lemma 1 / Theorem 1).
 - ``bruteforce``: arrangement-enumeration oracle used by the test suite.
 - ``dssearch``: the paper's DS-Search (discretize / split / drop) and
-  the one sweep kernel (``enumerate_space``) that resolves small spaces
-  and drop-condition cells.
-- ``sweepline``: the Base O(n^2) sweep-line baseline — the sweep kernel
-  run over the full space.
+  the one exact kernel (``enumerate_space``). It resolves small spaces and
+  drop-condition cells with one Discretize scatter over their elementary
+  cells, and arrangements above ``DEFAULT_ENUM_POINTS`` with a column loop.
+- ``sweepline``: the Base O(n^2) sweep-line baseline — the exact kernel
+  run over the full space, whose arrangement (beyond a few dozen objects)
+  is too large for one scatter, so Base alone takes the column loop.
 - ``gridindex``: the grid index with suffix-sum attribute summaries and
   the GI-DS / app-GIDS drivers.
 - ``maxrs``: the MaxRS specialisation plus the OE sweep-line baseline.

@@ -22,8 +22,8 @@ distinct edge coordinate per axis, so this evaluates at most 4 points
 per cell. The enumeration is written for any number of interior edges,
 which both closes the boundary-clipping corner case and keeps the
 algorithm exact for *any* user-supplied accuracy override. It is the
-one sweep kernel of the package (``enumerate_space``): Base
-(``sweepline.py``) is the same sweep run over the full space.
+one exact kernel of the package (``enumerate_space``): Base
+(``sweepline.py``) is the same kernel run over the full space.
 
 ``delta > 0`` turns on the paper's Section-6 approximation: only dirty
 cells with ``lb < dopt/(1+delta)`` are split / kept, giving the
@@ -41,10 +41,15 @@ Both kernels do each piece of per-rectangle work once. Discretize merges
 each axis's cell edges and centers into one sorted array, so a single
 search per rectangle extent (four per call) yields the cover, full and
 center index ranges (``_cell_boxes``), and the three planes come from one
-difference-array scatter (``_accum_planes``). The sweep sorts a space's
-y-events once; each column takes its active rectangles' events from that
-order. Every classification and every floating-point sum is the one the
-separate searches, scatters and per-column sorts would give.
+difference-array scatter (``_accum_planes``). Every classification and
+every floating-point sum is the one the separate searches and scatters
+would give. ``enumerate_space`` resolves a space whose arrangement has
+at most ``DEFAULT_ENUM_POINTS`` elementary cells with that same machinery:
+the cells are clean, so Discretize's center plane over the space's own
+edges (one scatter, no loop) evaluates every one of them. Only Base's
+full space, with millions of cells but few rectangles active per column,
+keeps a column loop, which sorts the space's y-events once; each column
+takes its active rectangles' events from that order.
 """
 from __future__ import annotations
 
@@ -60,10 +65,13 @@ from repro.core.geometry import Space
 from repro.core.reduction import ASPProblem, check_delta
 
 #: If a space's local arrangement is small — (interior x-edges + 1) *
-#: (interior y-edges + 1) at most this — resolve it by the exact local
-#: sweep. This is what terminates sliver sub-spaces that are thinner
-#: than the accuracy in one axis only (the two-axis drop condition
-#: cannot fire for them, and MBR splits cannot shrink them further).
+#: (interior y-edges + 1) elementary cells at most this — DS-Search
+#: resolves it exactly, and ``enumerate_space`` does so with one scatter
+#: over those cells; larger arrangements (Base's full space) take its
+#: column loop. This is what terminates sliver sub-spaces that are
+#: thinner than the accuracy in one axis only (the two-axis drop
+#: condition cannot fire for them, and MBR splits cannot shrink them
+#: further).
 DEFAULT_ENUM_POINTS = 4096
 
 
@@ -354,40 +362,49 @@ def _interior(lo: np.ndarray, hi: np.ndarray, v0: float, v1: float) -> np.ndarra
     return np.unique(np.concatenate([lo[(v0 < lo) & (lo < v1)], hi[(v0 < hi) & (hi < v1)]]))
 
 
-def interior_edge_counts(prob: ASPProblem, space: Space, idx: np.ndarray) -> tuple[int, int]:
+def interior_edges(
+    prob: ASPProblem, space: Space, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rectangle-edge coordinates strictly inside the space, per
-    axis — the size of the local arrangement (cost driver of
-    ``enumerate_space``)."""
+    axis, ascending: the space's local arrangement, which
+    ``enumerate_space`` resolves."""
     return (
-        len(_interior(prob.x_lo[idx], prob.x_hi[idx], space.x0, space.x1)),
-        len(_interior(prob.y_lo[idx], prob.y_hi[idx], space.y0, space.y1)),
+        _interior(prob.x_lo[idx], prob.x_hi[idx], space.x0, space.x1),
+        _interior(prob.y_lo[idx], prob.y_hi[idx], space.y0, space.y1),
     )
 
 
-def enumerate_space(
-    prob: ASPProblem,
-    space: Space,
-    stats: SearchStats | None = None,
-    idx: np.ndarray | None = None,
-) -> tuple[float, tuple[float, float]]:
-    """Exact resolution of a space by a column-by-column sweep.
+def interior_edge_counts(prob: ASPProblem, space: Space, idx: np.ndarray) -> tuple[int, int]:
+    """``(ex, ey)``: how many interior edges ``interior_edges`` finds per
+    axis — the size of the local arrangement."""
+    xe, ye = interior_edges(prob, space, idx)
+    return len(xe), len(ye)
 
-    The x-edge coordinates inside the space define columns; within each
-    column a y-sweep accumulates channel sums over the active rectangle
-    events and evaluates every disjoint-region fragment (clipped to the
-    space) at its midpoint, vectorised over the column's intervals.
-    Cost is O((ex+1) * Ey). This is the one sweep kernel: DS-Search runs
-    it on small spaces and drop-condition cells, and Base
-    (``sweepline.sweepline_search``) runs it on the full bounding box,
-    where it is the O(n^2) sweep of Section 4.1.
-    """
-    if idx is None:
-        idx = prob.overlapping(space)
+
+def _scatter_cells(
+    prob: ASPProblem, idx: np.ndarray, xb: np.ndarray, yb: np.ndarray
+) -> tuple[float, tuple[float, float], int]:
+    """Best elementary cell of the arrangement with cell edges ``xb`` x
+    ``yb``: Discretize's center plane over these edges, one scatter."""
+    bx, xs = _cell_boxes(xb, prob.x_lo[idx], prob.x_hi[idx])
+    by, ys = _cell_boxes(yb, prob.y_lo[idx], prob.y_hi[idx])
+    (center,) = _accum_planes([(*bx[2], *by[2])], prob.prepared.weights[idx], len(xs), len(ys))
+    reps = prob.prepared.rep_from_sums(np.moveaxis(center, 0, -1))
+    dists = weighted_l1(reps, prob.query_rep, prob.weights)
+    bi, bj = divmod(int(np.argmin(dists)), len(ys))
+    return float(dists[bi, bj]), (float(xs[bi]), float(ys[bj])), dists.size
+
+
+def _sweep_columns(
+    prob: ASPProblem, space: Space, idx: np.ndarray, xb: np.ndarray
+) -> tuple[float, tuple[float, float], int]:
+    """Best arrangement region by a y-sweep of each column between the
+    x-edges ``xb``, evaluating only the intervals its active rectangles
+    form."""
     xl, xh = prob.x_lo[idx], prob.x_hi[idx]
     yl, yh = prob.y_lo[idx], prob.y_hi[idx]
     W = prob.prepared.weights[idx]
     m = len(idx)
-    xb = np.concatenate([[space.x0], _interior(xl, xh, space.x0, space.x1), [space.x1]])
     xs = (xb[:-1] + xb[1:]) / 2.0
     # One stable y-sort of every rectangle's events serves all columns: a
     # column takes its active rectangles' events at their sorted
@@ -405,6 +422,13 @@ def enumerate_space(
     pos = np.empty(len(order), dtype=np.intp)  # sorted position of each event
     pos[order] = np.arange(len(order))
     pos_lo, pos_hi, pos_box = pos[:m], pos[m:2 * m], pos[2 * m:]
+    # An interval between adjacent floats has no float inside: its
+    # midpoint rounds onto an end, an event where the interval's sums do
+    # not hold. Only a space with such a pair of event values pays for
+    # evaluating those midpoints directly.
+    yc = np.clip(ys, space.y0, space.y1)
+    yc_mid = (yc[:-1] + yc[1:]) / 2.0
+    thin = ((yc[:-1] < yc[1:]) & ((yc_mid <= yc[:-1]) | (yc_mid >= yc[1:]))).any()
     ymid = (space.y0 + space.y1) / 2.0
     best, best_pt = np.inf, (float(xs[0]), ymid)
     n_pts = 0
@@ -421,13 +445,58 @@ def enumerate_space(
         lo = np.maximum(ycol[:-1], space.y0)
         hi = np.minimum(ycol[1:], space.y1)
         valid = hi > lo
-        reps = prob.prepared.rep_from_sums(cum[:-1][valid])
+        sums = cum[:-1][valid]
+        if thin:
+            mid = (lo[valid] + hi[valid]) / 2.0
+            for k in np.flatnonzero((mid <= lo[valid]) | (mid >= hi[valid])):
+                sums[k] = W[act[(yl[act] < mid[k]) & (mid[k] < yh[act])]].sum(axis=0)
+        reps = prob.prepared.rep_from_sums(sums)
         dists = weighted_l1(reps, prob.query_rep, prob.weights)
         n_pts += len(dists)
         k = int(np.argmin(dists))
         if dists[k] < best:
             best = float(dists[k])
             best_pt = (float(x), float((lo[valid][k] + hi[valid][k]) / 2.0))
+    return best, best_pt, n_pts
+
+
+def enumerate_space(
+    prob: ASPProblem,
+    space: Space,
+    stats: SearchStats | None = None,
+    idx: np.ndarray | None = None,
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, tuple[float, float]]:
+    """Exact resolution of a space over its local arrangement.
+
+    The ``ex`` x-edges and ``ey`` y-edges strictly inside the space
+    (``edges``, as ``interior_edges`` returns them; found here when not
+    given) cut it into ``(ex+1) * (ey+1)`` elementary cells. No rectangle
+    edge crosses an elementary cell, so each is clean (Section 4.2) and
+    its center carries its one representation. Two branches, chosen by
+    the arrangement's size:
+
+    - at most ``DEFAULT_ENUM_POINTS`` cells (read at call time): one
+      Discretize center-plane scatter over the space's own edges
+      evaluates every cell at once, in O(m + (ex+1) * (ey+1)) for ``m``
+      overlapping rectangles. DS-Search's small spaces and
+      drop-condition cells take this branch.
+    - more: a column-by-column sweep, O((ex+1) * Ey), which evaluates in
+      each column only the y-intervals of its active rectangles. Base
+      (``sweepline.sweepline_search``) runs it on the full bounding box,
+      where it is the O(n^2) sweep of Section 4.1: there the arrangement
+      has tens of millions of cells but each column only a few active
+      rectangles, so one dense plane would be far larger and slower.
+    """
+    if idx is None:
+        idx = prob.overlapping(space)
+    xe, ye = edges if edges is not None else interior_edges(prob, space, idx)
+    xb = np.concatenate([[space.x0], xe, [space.x1]])
+    if (len(xe) + 1) * (len(ye) + 1) <= DEFAULT_ENUM_POINTS:
+        yb = np.concatenate([[space.y0], ye, [space.y1]])
+        best, best_pt, n_pts = _scatter_cells(prob, idx, xb, yb)
+    else:
+        best, best_pt, n_pts = _sweep_columns(prob, space, idx, xb)
     if stats is not None:
         stats.enum_spaces += 1
         stats.points_evaluated += n_pts
@@ -489,7 +558,7 @@ def ds_search(
     too; it replaces ``init`` only when strictly closer.
 
     Spaces whose local arrangement fits ``DEFAULT_ENUM_POINTS`` (read at
-    call time) are resolved by the exact local sweep.
+    call time) are resolved exactly by ``enumerate_space``.
 
     ``roots`` replaces ``space`` with a lazy stream of ``(lb, space)``
     root spaces in ascending ``lb`` order, each ``lb`` a valid lower
@@ -550,14 +619,16 @@ def ds_search(
         # a zero budget also keeps ex = ey = -1: the sliver recursion below
         # ends only through this budget, so it must be off with it
         if DEFAULT_ENUM_POINTS:
-            ex, ey = interior_edge_counts(prob, c, idx)
-            # local sweep cost is O((ex+1) * Ey) — resolve exactly once the
-            # local arrangement fits the budget
+            edges = interior_edges(prob, c, idx)
+            ex, ey = len(edges[0]), len(edges[1])
+            # resolve exactly, one scatter over the arrangement's cells,
+            # once the local arrangement fits the budget
             if (ex + 1) * (ey + 1) <= DEFAULT_ENUM_POINTS:
-                d, pt = enumerate_space(prob, c, stats, idx)
+                d, pt = enumerate_space(prob, c, stats, idx, edges)
                 if d < dopt:
                     dopt, popt = d, pt
                 continue
+            del edges  # a large space's edges would stay alive through Discretize
         # A space that is a sliver in one axis (<= 2 interior edge
         # coordinates) can never satisfy the two-axis drop condition and
         # 2-D MBR splits cannot shrink it; recurse 1-D instead, putting

@@ -10,9 +10,11 @@ at its top edge), and every interval's distance is evaluated. With
 O(n) slabs and O(n) active rectangles per slab this is O(n^2) — the
 complexity the paper reports for the baseline.
 
-Base is the full-space run of the sweep kernel DS-Search uses for small
+Base is the full-space run of the exact kernel DS-Search uses for small
 spaces and drop-condition cells (``dssearch.enumerate_space``), plus
-the empty-region candidate.
+the empty-region candidate. Beyond a few dozen objects its arrangement
+is far above ``DEFAULT_ENUM_POINTS`` cells, so it takes the kernel's
+column loop, not the one-scatter branch DS-Search's small spaces take.
 """
 from __future__ import annotations
 

@@ -43,6 +43,40 @@ def aggregator_zoo() -> list[CompositeAggregator]:
     ]
 
 
+def adversarial_objects(case: str, rng: np.random.Generator) -> tuple[pd.DataFrame, float, float]:
+    """Objects and region size ``(a, b)`` for one adversarial index case
+    (``cell_edges``, ``duplicates``, ``one_x``, ``large_region``,
+    ``zero``, ``one``), for a 6 x 6 index over the objects' bounding box."""
+    n = 40
+    color = rng.choice(COLORS, n)
+    val = np.round(rng.uniform(-5, 10, n), 2)
+    if case == "cell_edges":
+        # box [0, 6]^2, so the index cells are unit squares; integer
+        # coordinates and sizes put every object and rectangle edge on a
+        # cell edge
+        x = np.r_[0.0, 6.0, rng.integers(0, 7, n - 2)].astype(float)
+        y = np.r_[0.0, 6.0, rng.integers(0, 7, n - 2)].astype(float)
+        a, b = float(rng.integers(1, 3)), float(rng.integers(1, 3))
+    elif case == "duplicates":
+        k = rng.integers(0, 8, n)
+        x = np.round(rng.uniform(0, 6, 8) / 0.5)[k] * 0.5
+        y = np.round(rng.uniform(0, 6, 8) / 0.5)[k] * 0.5
+        a, b = 1.5, 1.0
+    elif case == "one_x":
+        x = np.full(n, 3.0)
+        y = np.round(rng.uniform(0, 6, n) / 0.25) * 0.25
+        a, b = 1.0, 1.5
+    elif case == "large_region":
+        x = np.round(rng.uniform(0, 5, n) / 0.25) * 0.25
+        y = np.round(rng.uniform(0, 5, n) / 0.25) * 0.25
+        a, b = 12.0, 9.0
+    else:  # "zero" or "one" objects
+        n = 0 if case == "zero" else 1
+        x, y, color, val = np.full(n, 2.0), np.full(n, 3.0), color[:n], val[:n]
+        a, b = 1.0, 1.0
+    return pd.DataFrame({"x": x, "y": y, "color": color, "val": val}), a, b
+
+
 def random_query(rng: np.random.Generator, F: CompositeAggregator, objects: pd.DataFrame, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """A query representation sampled from a real sub-region (query-by-example),
     plus random positive weights."""

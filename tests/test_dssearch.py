@@ -17,6 +17,7 @@ from repro.core.dssearch import (
     discretize,
     ds_search,
     enumerate_space,
+    interior_edges,
     split,
 )
 from repro.core.geometry import Space
@@ -54,6 +55,70 @@ def brute_force_in(prob, s):
         for x in mids(prob.x_lo, prob.x_hi, s.x0, s.x1)
         for y in mids(prob.y_lo, prob.y_hi, s.y0, s.y1)
     )
+
+
+def branch_instance(case, z):
+    """A problem with aggregator ``z`` of the zoo, and the spaces to
+    resolve on it, for one adversarial ``case``: ``lattice`` (integer
+    coordinates and sizes, so many edges coincide with each other and
+    with the space boundaries), ``duplicates`` (every object three
+    times), ``big_ab`` (``a``/``b`` larger than the bounding box),
+    ``ulp_thin`` (spaces one ulp wide or high on a rectangle edge, where
+    cell edges and centers coincide) and ``empty`` (a space no rectangle
+    overlaps)."""
+    rng = np.random.default_rng(40 + z)
+    F = aggregator_zoo()[z]
+    df = random_objects(rng, 30, lattice=1.0, span=6.0)
+    a, b = 1.0, 2.0
+    if case == "duplicates":
+        df = pd.concat([df] * 3, ignore_index=True)
+        a, b = 1.5, 1.25
+    elif case == "big_ab":
+        a, b = 40.0, 25.0
+    qrep, w = random_query(rng, F, df, a, b)
+    prob = build_asp(df, F, qrep * rng.uniform(0.5, 1.5, len(qrep)), w, a, b)
+    s0 = prob.space
+    if case == "ulp_thin":
+        x, y = float(prob.x_lo[0]), float(prob.y_hi[1])
+        return prob, [
+            Space(x, np.nextafter(x, np.inf), s0.y0, s0.y1),
+            Space(s0.x0, s0.x1, np.nextafter(y, -np.inf), y),
+            Space(x, np.nextafter(x, np.inf), np.nextafter(y, -np.inf), y),
+        ]
+    if case == "empty":
+        return prob, [Space(s0.x1 + 1.0, s0.x1 + 2.5, s0.y0, s0.y1)]
+    # the full space, one with boundaries on the integer edges, and one
+    # reaching past the bounding box
+    return prob, [
+        s0,
+        Space(s0.x0 + 2.0, s0.x0 + 4.0, s0.y0 + 1.0, s0.y0 + 5.0),
+        Space(s0.x0 - 1.0, s0.x0 + 3.5, s0.y0 + 0.5, s0.y1 + 1.0),
+    ]
+
+
+class TestEnumerateBranches:
+    """``enumerate_space`` resolves a small arrangement with one scatter
+    over its cells (default budget) and a large one column by column
+    (forced here by a zero budget); both must equal brute force."""
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    @pytest.mark.parametrize("z", range(5))
+    @pytest.mark.parametrize("case", ["lattice", "duplicates", "big_ab", "ulp_thin", "empty"])
+    def test_matches_brute_force(self, case, z, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", budget)
+        prob, spaces = branch_instance(case, z)
+        for s in spaces:
+            stats = SearchStats()
+            d, (px, py) = enumerate_space(prob, s, stats)
+            if budget is None:  # the scatter evaluates every elementary cell
+                xe, ye = interior_edges(prob, s, prob.overlapping(s))
+                assert stats.points_evaluated == (len(xe) + 1) * (len(ye) + 1)
+            if case == "empty":
+                assert d == prob.empty_dist
+            assert d == pytest.approx(brute_force_in(prob, s), abs=1e-9), s
+            assert s.x0 <= px <= s.x1 and s.y0 <= py <= s.y1
+            assert prob.point_dist(px, py) == pytest.approx(d, abs=1e-9)
 
 
 class TestExactness:

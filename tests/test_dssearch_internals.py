@@ -14,6 +14,7 @@ from repro.core.dssearch import (
     ds_search,
     enumerate_space,
     interior_edge_counts,
+    interior_edges,
 )
 from repro.core.geometry import Space
 from repro.core.reduction import build_asp
@@ -190,9 +191,40 @@ class TestWorkCounts:
         assert len(scatters) <= 1
 
     def test_enumerate_space_one_sort(self, monkeypatch):
+        """The column loop, forced by a zero budget, sorts y-events once."""
         prob = self.instance(22)
         ex, _ = interior_edge_counts(prob, prob.space, prob.overlapping(prob.space))
         assert ex > 20  # many columns, one sort
+        monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 0)
         sorts = self.count_calls(monkeypatch, "argsort")
         enumerate_space(prob, prob.space)
         assert len(sorts) == 1
+
+    def test_enumerate_space_dense_one_scatter(self, monkeypatch):
+        """A small arrangement is resolved by one center-plane scatter:
+        no sort, two searches per axis, one bincount."""
+        prob = self.instance(22)
+        xe, ye = interior_edges(prob, prob.space, prob.overlapping(prob.space))
+        assert len(xe) > 20 and (len(xe) + 1) * (len(ye) + 1) <= dssearch.DEFAULT_ENUM_POINTS
+        sorts = self.count_calls(monkeypatch, "argsort")
+        searches = self.count_calls(monkeypatch, "searchsorted")
+        scatters = self.count_calls(monkeypatch, "bincount")
+        enumerate_space(prob, prob.space)
+        assert len(sorts) == 0
+        assert len(searches) <= 4
+        assert len(scatters) == 1
+
+    def test_ds_search_finds_edges_once(self, monkeypatch):
+        """ds_search hands the edges it found to enumerate_space."""
+        prob = self.instance(12, n=20)
+        monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 10**9)
+        calls, real = [], dssearch.interior_edges
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(dssearch, "interior_edges", counted)
+        _, _, stats = ds_search(prob)
+        assert stats.enum_spaces == stats.spaces_processed == 1
+        assert len(calls) == 1

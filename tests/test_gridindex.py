@@ -18,7 +18,13 @@ from repro.core.gridindex import (
     gi_ds,
 )
 from repro.core.reduction import build_asp
-from tests.conftest import COLORS, aggregator_zoo, random_objects, random_query
+from tests.conftest import (
+    COLORS,
+    adversarial_objects,
+    aggregator_zoo,
+    random_objects,
+    random_query,
+)
 
 
 def make_inputs(seed, n=40, zoo_idx=None):
@@ -243,39 +249,6 @@ class TestSharedHeap:
             ds_search(prob, prob.space, roots=[(0.0, prob.space)])
 
 
-def _adversarial_objects(case: str, rng: np.random.Generator) -> tuple[pd.DataFrame, float, float]:
-    """Objects and region size ``(a, b)`` for one adversarial GI-DS case;
-    the index is 6 x 6 over the objects' bounding box."""
-    n = 40
-    color = rng.choice(COLORS, n)
-    val = np.round(rng.uniform(-5, 10, n), 2)
-    if case == "cell_edges":
-        # box [0, 6]^2, so the index cells are unit squares; integer
-        # coordinates and sizes put every object and rectangle edge on a
-        # cell edge
-        x = np.r_[0.0, 6.0, rng.integers(0, 7, n - 2)].astype(float)
-        y = np.r_[0.0, 6.0, rng.integers(0, 7, n - 2)].astype(float)
-        a, b = float(rng.integers(1, 3)), float(rng.integers(1, 3))
-    elif case == "duplicates":
-        k = rng.integers(0, 8, n)
-        x = np.round(rng.uniform(0, 6, 8) / 0.5)[k] * 0.5
-        y = np.round(rng.uniform(0, 6, 8) / 0.5)[k] * 0.5
-        a, b = 1.5, 1.0
-    elif case == "one_x":
-        x = np.full(n, 3.0)
-        y = np.round(rng.uniform(0, 6, n) / 0.25) * 0.25
-        a, b = 1.0, 1.5
-    elif case == "large_region":
-        x = np.round(rng.uniform(0, 5, n) / 0.25) * 0.25
-        y = np.round(rng.uniform(0, 5, n) / 0.25) * 0.25
-        a, b = 12.0, 9.0
-    else:  # "zero" or "one" objects
-        n = 0 if case == "zero" else 1
-        x, y, color, val = np.full(n, 2.0), np.full(n, 3.0), color[:n], val[:n]
-        a, b = 1.0, 1.0
-    return pd.DataFrame({"x": x, "y": y, "color": color, "val": val}), a, b
-
-
 class TestAdversarialGIDS:
     """GI-DS (delta 0) and app-GIDS (delta 0.2) against brute force on
     inputs that stress the index: edges on cell edges, duplicates, a
@@ -289,7 +262,7 @@ class TestAdversarialGIDS:
     def test_matches_brute_force(self, case, delta, zoo_idx):
         rng = np.random.default_rng(zoo_idx)
         F = aggregator_zoo()[zoo_idx]
-        df, a, b = _adversarial_objects(case, rng)
+        df, a, b = adversarial_objects(case, rng)
         # a query-by-example target from a lattice table, scaled so the
         # optimum is rarely an exact match
         qrep, w = random_query(rng, F, random_objects(rng, 30), a, b)

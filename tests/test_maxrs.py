@@ -148,6 +148,61 @@ class TestOEAdversarial:
         assert oe_maxrs(x, y, 0.5, 1.0) == brute_force_maxrs(x, y, 0.5, 1.0) == 0.0
 
 
+class TestDsMaxrsAdversarial:
+    """DS-MaxRS against ``brute_force_maxrs`` on the degenerate instances
+    of ``TestOEAdversarial``; the location must enclose the reported
+    total."""
+
+    @staticmethod
+    def check(x, y, a, b, w=None):
+        w = np.ones(len(x)) if w is None else w
+        df = pd.DataFrame({"x": x, "y": y, "w": w})
+        total, (px, py), _ = ds_maxrs(df, a, b, weight_col="w")
+        assert total == pytest.approx(brute_force_maxrs(x, y, a, b, w), abs=1e-9)
+        inside = (px < x) & (x < px + a) & (py < y) & (y < py + b)
+        assert w[inside].sum() == pytest.approx(total, abs=1e-9)
+        return total
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lattice(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        x, y = _lattice(rng, int(rng.integers(2, 40)))
+        self.check(x, y, float(rng.integers(1, 4)), float(rng.integers(1, 4)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lattice_signed_weights(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 40))
+        x, y = _lattice(rng, n)
+        w = rng.integers(-3, 4, n).astype(float)  # zero and negative weights
+        self.check(x, y, float(rng.integers(1, 4)), float(rng.integers(1, 4)), w)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_all_on_one_line(self, axis):
+        rng = np.random.default_rng(11)
+        free = rng.integers(0, 8, 25).astype(float)
+        x, y = (np.full(25, 3.0), free) if axis == "x" else (free, np.full(25, 3.0))
+        for a, b in [(1.0, 2.0), (2.0, 1.0), (0.5, 0.5)]:
+            self.check(x, y, a, b)
+
+    def test_region_larger_than_bounding_box(self):
+        rng = np.random.default_rng(12)
+        x, y = _lattice(rng, 30)
+        self.check(x, y, 50.0, 40.0, rng.integers(-1, 3, 30).astype(float))
+        assert self.check(x, y, 50.0, 40.0) == 30.0
+
+    def test_duplicates_weighted(self):
+        x, y = np.array([1.0, 1.0, 1.0, 2.5]), np.array([2.0, 2.0, 2.0, 2.0])
+        w = np.array([2.0, -1.0, 4.0, 1.0])
+        assert self.check(x, y, 1.0, 1.0, w) == 5.0
+
+    def test_one_object(self):
+        assert self.check(np.array([2.0]), np.array([3.0]), 0.5, 4.0, np.array([2.5])) == 2.5
+
+    def test_zero_objects(self):
+        assert self.check(np.array([]), np.array([]), 2.0, 3.0) == 0.0
+
+
 class TestOEValidation:
     """Input outside the model raises a ``ValueError`` naming the argument
     (``ds_maxrs`` rejects the same through ``build_asp``)."""

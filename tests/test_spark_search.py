@@ -15,7 +15,7 @@ from repro.core.geometry import Space
 from repro.core.gridindex import gi_ds
 from repro.core.reduction import build_asp, min_gap, query_representation
 from repro.spark.search import edge_accuracies, gi_ds_distributed
-from tests.conftest import aggregator_zoo, random_objects, random_query
+from tests.conftest import adversarial_objects, aggregator_zoo, random_objects, random_query
 
 
 def make_inputs(seed, n=60):
@@ -90,6 +90,33 @@ class TestDistributedGIDS:
         )
         expected, _ = brute_force_asp(build_asp(pdf, F, qrep, w, a, b))
         assert got == pytest.approx(expected, abs=1e-8)
+
+
+class TestAdversarialScan:
+    """The distributed scan against brute force on objects exactly on
+    index-cell edges, duplicate objects, a single object, and an fA
+    attribute with one distinct value (its scan tasks run DS-Search)."""
+
+    @pytest.mark.parametrize(
+        "case, zoo_idx",
+        [("cell_edges", 4), ("duplicates", 3), ("one", 1), ("one_value", 2)],
+    )
+    def test_matches_brute_force(self, spark, case, zoo_idx):
+        rng = np.random.default_rng(zoo_idx)
+        F = aggregator_zoo()[zoo_idx]
+        df, a, b = adversarial_objects("cell_edges" if case == "one_value" else case, rng)
+        if case == "one_value":
+            df["val"] = 2.5
+        # a target from another table, scaled so the optimum is rarely 0
+        qrep, w = random_query(rng, F, random_objects(rng, 30), a, b)
+        qrep = qrep * 0.8
+        prob = build_asp(df, F, qrep, w, a, b)
+        expected, _ = brute_force_asp(prob)
+        got, pt, _ = gi_ds_distributed(
+            spark.createDataFrame(df), F, qrep, w, a, b, sx=6, sy=6
+        )
+        assert got == pytest.approx(expected, abs=1e-8)
+        assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
 
 
 def split_gap_instance():

@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import dssearch
 from repro.core.aggregators import CompositeAggregator, dist_agg
 from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import ds_search
@@ -54,6 +55,19 @@ def test_matches_brute_force(seed):
     got, pt = sweepline_search(prob)
     assert got == pytest.approx(expected, abs=1e-8)
     assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [*range(5), *ADVERSARIAL])
+def test_column_loop_matches_brute_force(seed, monkeypatch):
+    """These instances' arrangements fit the budget, so Base resolves them
+    with one scatter; a zero budget sends them through the column loop
+    that Base runs on large inputs."""
+    monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", 0)
+    prob = random_prob(seed) if isinstance(seed, int) else adversarial_prob(seed)
+    expected, _ = brute_force_asp(prob)
+    got, pt = sweepline_search(prob)
+    assert got == pytest.approx(expected, abs=1e-9)
+    assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(100, 110))
