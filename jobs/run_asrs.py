@@ -1,7 +1,7 @@
 """General ASRS entrypoint: run one attribute-aware similar-region query
 end-to-end with the *distributed* GI-DS dataflow (index build from one
-groupBy collect plus NumPy suffix sums, then a cell scan hash-partitioned
-over every core with mapInPandas). Cell searches measure their own GPS
+metadata job and one mapInPandas pass plus NumPy suffix sums, then a cell
+scan hash-partitioned over every core with mapInPandas). Cell searches measure their own GPS
 accuracies; a task-local gap is never below the global one, so the
 answer stays exact.
 

@@ -261,77 +261,55 @@ def bucket_indicators(
     return out
 
 
-def prepare_meta(
-    F: "CompositeAggregator",
-    domains: dict[int, tuple] | None = None,
-    minmax: dict[int, tuple[float, float]] | None = None,
-) -> Prepared:
-    """A ``Prepared`` built from metadata alone (no object table).
-
-    Used by the Spark layer: channel *sums* arrive from distributed
-    aggregation, so only the spec structure, fD domains and fA
-    ``[amin, amax]`` ranges are needed to evaluate representations and
-    bound sandwiches. ``domains[i]`` / ``minmax[i]`` supply those for
-    spec ``i`` when not already fixed on the spec. The resulting
-    ``weights`` matrix is empty — ``rep_for_mask`` is unavailable.
-    """
-    domains = domains or {}
-    minmax = minmax or {}
-    prepared: list[PreparedSpec] = []
-    for i, spec in enumerate(F.specs):
-        if spec.kind == "dist":
-            domain = spec.domain or tuple(domains.get(i, ()))
-            if not domain:
-                raise ValueError(
-                    f"spec {i}: fD needs an explicit domain for metadata-only prepare"
-                )
-            prepared.append(PreparedSpec(spec, domain=domain))
-        else:
-            amin, amax = minmax.get(i, (0.0, 0.0))
-            prepared.append(PreparedSpec(spec, amin=float(amin), amax=float(amax)))
-    return Prepared(prepared, np.zeros((0, sum(ps.n_channels for ps in prepared))))
-
-
 @dataclass(frozen=True)
 class CompositeAggregator:
     """The paper's composite aggregator ``F``; see Definition 2."""
 
     specs: tuple[AggregatorSpec, ...]
 
-    def prepare(self, df: pd.DataFrame) -> Prepared:
-        """Bind to an object table, materialising per-object channel weights."""
+    def bind(self, df: pd.DataFrame) -> list[PreparedSpec]:
+        """Bind each spec to an object table: its fD domain (when the spec
+        has none, the sorted distinct values of ``df``), or the
+        ``[amin, amax]`` of its gamma-selected values."""
         prepared: list[PreparedSpec] = []
-        blocks: list[np.ndarray] = []
         for spec in self.specs:
-            gmask = spec.gamma.mask(df).astype(np.float64)
             if spec.kind == "dist":
-                domain = spec.domain or tuple(
-                    sorted(pd.unique(df[spec.attr]).tolist())
-                )
-                codes = pd.Categorical(
-                    df[spec.attr], categories=list(domain)
-                ).codes
-                d = len(domain)
-                w = np.zeros((len(df), d))
-                valid = codes >= 0
-                w[np.arange(len(df))[valid], codes[valid]] = 1.0
-                w *= gmask[:, None]
+                domain = spec.domain or tuple(sorted(pd.unique(df[spec.attr]).tolist()))
                 prepared.append(PreparedSpec(spec, domain=domain))
             else:
-                vals = df[spec.attr].to_numpy(dtype=np.float64)
-                pos = np.maximum(vals, 0.0) * gmask
-                neg = np.minimum(vals, 0.0) * gmask
-                sel = gmask > 0
-                amin = float(vals[sel].min()) if sel.any() else 0.0
-                amax = float(vals[sel].max()) if sel.any() else 0.0
-                if spec.kind == "sum":
-                    w = np.stack([pos, neg], axis=1)
-                else:  # avg: cnt, pos, neg, bucket indicators
-                    buckets = bucket_indicators(vals, gmask, amin, amax)
-                    w = np.concatenate(
-                        [np.stack([gmask, pos, neg], axis=1), buckets], axis=1
-                    )
+                vals = df[spec.attr].to_numpy(dtype=np.float64)[spec.gamma.mask(df)]
+                amin = float(vals.min()) if len(vals) else 0.0
+                amax = float(vals.max()) if len(vals) else 0.0
                 prepared.append(PreparedSpec(spec, amin=amin, amax=amax))
-            blocks.append(w)
-        weights = np.concatenate(blocks, axis=1) if blocks else np.zeros((len(df), 0))
-        return Prepared(prepared, weights)
+        return prepared
+
+    def prepare(self, df: pd.DataFrame) -> Prepared:
+        """Bind to an object table, materialising per-object channel weights."""
+        specs = self.bind(df)
+        return Prepared(specs, channel_weights(specs, df))
+
+
+def channel_weights(specs: Sequence[PreparedSpec], df: pd.DataFrame) -> np.ndarray:
+    """Per-object channel weights ``(len(df), n_channels)`` of bound specs:
+    the layout of the module docstring's table, spec after spec."""
+    blocks: list[np.ndarray] = []
+    for ps in specs:
+        spec = ps.spec
+        gmask = spec.gamma.mask(df).astype(np.float64)
+        if spec.kind == "dist":
+            codes = pd.Categorical(df[spec.attr], categories=list(ps.domain)).codes
+            w = np.zeros((len(df), len(ps.domain)))
+            valid = codes >= 0
+            w[np.arange(len(df))[valid], codes[valid]] = 1.0
+            w *= gmask[:, None]
+        else:
+            vals = df[spec.attr].to_numpy(dtype=np.float64)
+            pos = np.maximum(vals, 0.0) * gmask
+            neg = np.minimum(vals, 0.0) * gmask
+            if spec.kind == "sum":
+                w = np.stack([pos, neg], axis=1)
+            else:  # avg: cnt, pos, neg, bucket indicators
+                buckets = bucket_indicators(vals, gmask, ps.amin, ps.amax)
+                w = np.concatenate([np.stack([gmask, pos, neg], axis=1), buckets], axis=1)
+        blocks.append(w)
+    return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(df), 0))

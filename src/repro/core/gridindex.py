@@ -110,24 +110,37 @@ def suffix_summaries(
     return suffix
 
 
+def grid_frame(
+    x0: float, x1: float, y0: float, y1: float, sx: int, sy: int
+) -> tuple[float, float, float, float]:
+    """``(x0, y0, cw, ch)`` of the ``sx x sy`` grid over the box
+    ``[x0, x1] x [y0, y1]``; a zero-width side gets unit cells."""
+    x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
+    cw = (x1 - x0) / sx if x1 > x0 else 1.0
+    ch = (y1 - y0) / sy if y1 > y0 else 1.0
+    return x0, y0, cw, ch
+
+
+def cell_ids(
+    x: np.ndarray, y: np.ndarray, x0: float, y0: float, cw: float, ch: float,
+    sx: int, sy: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index cell ``(ci, cj)`` of each object, clipped into the grid (the
+    objects on the box's high edges fall in the last row or column)."""
+    ci = np.clip(((x - x0) / cw).astype(np.int64), 0, sx - 1)
+    cj = np.clip(((y - y0) / ch).astype(np.int64), 0, sy - 1)
+    return ci, cj
+
+
 def build_grid_index(
-    objects: pd.DataFrame,
-    F: CompositeAggregator,
-    sx: int,
-    sy: int,
-    bounds: tuple[float, float, float, float] | None = None,
+    objects: pd.DataFrame, F: CompositeAggregator, sx: int, sy: int
 ) -> GridIndex:
     """Build the index: bucket objects into cells, accumulate channel
     planes, and take 2-D suffix sums (the dense attribute summaries)."""
     x = objects["x"].to_numpy(dtype=np.float64)
     y = objects["y"].to_numpy(dtype=np.float64)
-    if bounds is None:
-        bounds = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
-    x0, x1, y0, y1 = bounds
-    cw = (x1 - x0) / sx if x1 > x0 else 1.0
-    ch = (y1 - y0) / sy if y1 > y0 else 1.0
-    ci = np.clip(((x - x0) / cw).astype(np.int64), 0, sx - 1)
-    cj = np.clip(((y - y0) / ch).astype(np.int64), 0, sy - 1)
+    x0, y0, cw, ch = grid_frame(x.min(), x.max(), y.min(), y.max(), sx, sy)
+    ci, cj = cell_ids(x, y, x0, y0, cw, ch, sx, sy)
     prepared = F.prepare(objects)
     W = np.concatenate([prepared.weights, np.ones((len(x), 1))], axis=1)
     suffix = suffix_summaries(ci, cj, W, sx, sy)
@@ -207,7 +220,8 @@ def gi_ds(
     Returns ``(dopt, popt, stats)``; with ``delta == 0`` the result is
     exact and equals plain DS-Search. An empty ``objects`` table yields
     the empty-region candidate, as DS-Search does. A negative ``delta``
-    raises ``ValueError``.
+    raises ``ValueError``, and so does an ``index`` built for another
+    ``F`` or other objects.
     """
     check_delta(delta)
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
@@ -216,6 +230,18 @@ def gi_ds(
         return dopt, popt, GIStats()
     if index is None:
         index = build_grid_index(objects, F, sx, sy)
+    elif (
+        [ps.spec for ps in index.prepared.specs] != list(F.specs)
+        or index.suffix[-1, 0, 0] != prob.n
+        or grid_frame(
+            prob.x_hi.min(), prob.x_hi.max(), prob.y_hi.min(), prob.y_hi.max(),
+            index.sx, index.sy,
+        ) != (index.x0, index.y0, index.cw, index.ch)
+    ):
+        raise ValueError(
+            "index was built for another F or other objects: its specs, "
+            "object count or grid differ from this query's"
+        )
     ii, jj, lbs = candidate_cell_bounds(index, prob.query_rep, prob.weights, a, b)
     stats = GIStats(total_cells=len(lbs), index_bytes=index.nbytes)
     # cells become roots one at a time, in bound order, as the search draws them

@@ -4,10 +4,12 @@ The paper's contribution is a search algorithm, not a planner rule, so
 (per DESIGN.md's layering note) it is expressed here as
 ``DataFrame -> DataFrame`` transformations:
 
-- ``cellify``: grid-cell assignment and the reduced-rectangle ->
-  candidate-cell explosion (the geo-partitioning of the scan);
-- ``summaries``: the grid index's attribute summary tables: one
-  ``groupBy(ci, cj)`` collect, suffix-summed in NumPy on the driver;
+- ``cellify``: the reduced-rectangle -> candidate-cell explosion (the
+  geo-partitioning of the scan);
+- ``summaries``: the grid index's attribute summary tables: one metadata
+  ``agg`` job, then one ``mapInPandas`` pass that runs the core
+  channelisation and returns per-cell totals, suffix-summed in NumPy on
+  the driver;
 - ``search``: the distributed GI-DS scan — candidate index cells are
   pruned with driver-side lower bounds, then hash-partitioned over every
   core and searched with the DS-Search kernel inside ``mapInPandas``

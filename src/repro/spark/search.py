@@ -1,12 +1,13 @@
 """Distributed GI-DS: the parallel candidate-region scan.
 
 Dataflow (the ``distributed_dataflow`` shape of the reproduction). Spark
-does only what needs the partitioned objects: one ``groupBy`` and the
-per-cell scan.
+does only what needs the partitioned objects: the index build's metadata
+job and per-partition pass, and the per-cell scan.
 
-1. **Index build** (Spark + driver): per-cell channel sums via one
-   ``groupBy(ci, cj)``, collected (at most ``sx*sy`` rows) and turned into
-   suffix summaries with NumPy (``spark.summaries``).
+1. **Index build** (Spark + driver): one ``agg`` job binds ``F`` to the
+   objects, and one ``mapInPandas`` pass returns per-cell channel totals
+   from the core channelisation (at most ``sx*sy`` rows per Arrow batch),
+   which NumPy turns into suffix summaries (``spark.summaries``).
 2. **Prune** (driver): Section-5.3 lower bounds for every candidate
    cell from the summary planes — O(sx*sy) NumPy work.
 3. **Seed** (driver): run DS-Search on the single most promising cell
@@ -48,14 +49,14 @@ from pyspark import TaskContext
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as sf
 
-from repro.core.aggregators import CompositeAggregator, prepare_meta
+from repro.core.aggregators import CompositeAggregator
 from repro.core.distance import weighted_l1
 from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
-from repro.core.gridindex import GridIndex, candidate_cell_bounds
+from repro.core.gridindex import candidate_cell_bounds
 from repro.core.reduction import build_asp, check_delta, check_query, check_sizes
 from repro.spark.cellify import explode_to_candidate_cells
-from repro.spark.summaries import build_grid_index_spark, resolve_domains
+from repro.spark.summaries import build_grid_index_spark
 
 _RESULT_SCHEMA = (
     "ci long, cj long, dist double, px double, py double, spaces long, task int"
@@ -119,7 +120,6 @@ def gi_ds_distributed(
     ncol: int = 30,
     nrow: int = 30,
     delta: float = 0.0,
-    index: GridIndex | None = None,
     accuracy: tuple[float, float] | None = None,
 ) -> tuple[float, tuple[float, float], DistributedStats]:
     """Exact (or, with ``delta > 0``, (1+delta)-approximate) ASRS over a
@@ -129,28 +129,18 @@ def gi_ds_distributed(
     by default each search measures its own (see the module docstring).
     An invalid size or ``delta`` raises ``ValueError`` before any Spark
     job (``core.reduction.check_sizes``, ``check_delta``), an invalid
-    query before the cell bounds (``check_query``).
+    query before the cell bounds (``check_query``). An empty ``df``
+    yields the empty-region candidate, as ``core.gridindex.gi_ds`` does.
     """
     check_sizes(a, b)
     check_delta(delta)
     spark = df.sparkSession
-    if index is None:
-        index, F = build_grid_index_spark(df, F, sx, sy)
-    else:
-        F = resolve_domains(df, F)
-    meta = prepare_meta(
-        F,
-        minmax={
-            i: (ps.amin, ps.amax)
-            for i, ps in enumerate(index.prepared.specs)
-            if ps.spec.kind == "avg"
-        },
-    )
+    index, F = build_grid_index_spark(df, F, sx, sy)
     # validated here too: the cell bounds use the query before any build_asp
-    query_rep, weights = check_query(query_rep, weights, meta.out_dim)
+    query_rep, weights = check_query(query_rep, weights, index.prepared.out_dim)
 
     ii, jj, lbs = candidate_cell_bounds(index, query_rep, weights, a, b)
-    empty_dist = float(weighted_l1(meta.empty_rep(), query_rep, weights))
+    empty_dist = float(weighted_l1(index.prepared.empty_rep(), query_rep, weights))
     far_pt = (index.x0 + (index.sx + 1) * index.cw + a, index.y0 + (index.sy + 1) * index.ch + b)
     dopt, popt = empty_dist, far_pt
     stats = DistributedStats(total_cells=len(lbs), index_bytes=index.nbytes)

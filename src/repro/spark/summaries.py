@@ -1,197 +1,118 @@
-"""Grid-index attribute summaries: one ``groupBy`` on Spark, suffix sums
-in NumPy.
+"""Grid-index attribute summaries: one metadata job and one per-partition
+pass on Spark, suffix sums in NumPy.
 
 The paper's attribute summary table of cell ``g(i,j)`` covers all
 objects in ``G[i..inf][j..inf]`` — a 2-D suffix sum. Spark computes
-what needs the partitioned objects: per-object channel columns (the
-same channelisation as ``core.aggregators``) aggregated by
-``groupBy(ci, cj)`` onto the grid. Only non-empty cells come back, at
-most ``sx * sy`` rows (e.g. 256^2 = 65k), in one ``toPandas``. The
-driver scatters them into zero-initialised planes and takes the suffix
-sums with ``core.gridindex.suffix_summaries``, the code the NumPy build
-uses, so both builds yield the same ``GridIndex`` (checked in the test
-suite).
+only what needs the partitioned objects:
+
+1. one ``agg`` job (``index_meta``) reads the objects' bounding box and
+   binds ``F``'s specs: the fD domains a spec leaves open
+   (``collect_set``) and the gamma-selected ``[amin, amax]`` of each fA
+   spec;
+2. one ``mapInPandas`` pass over the columns ``F`` reads runs the core
+   channelisation (``core.aggregators.channel_weights``) and cell
+   assignment (``core.gridindex.cell_ids``) on each Arrow batch and
+   returns the batch's per-cell channel totals, at most ``sx * sy`` rows.
+
+The driver adds the totals up with ``core.gridindex.suffix_summaries``,
+the code the NumPy build uses, so both builds yield the same
+``GridIndex`` (checked in the test suite).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+from dataclasses import replace
+
 import numpy as np
-from pyspark.sql import Column, DataFrame
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
 
 from repro.core.aggregators import (
-    AggregatorSpec,
     CompositeAggregator,
-    Selection,
-    prepare_meta,
+    Prepared,
+    PreparedSpec,
+    channel_weights,
 )
-from repro.core.gridindex import GridIndex, suffix_summaries
-from repro.spark.cellify import with_cell_ids
+from repro.core.gridindex import GridIndex, cell_ids, grid_frame, suffix_summaries
 
 
-def gamma_cond(gamma: Selection) -> Column:
-    """The selection function as a Catalyst boolean expression."""
-    if gamma.attr is None:
-        return sf.lit(True)
-    return sf.col(gamma.attr).isin(list(gamma.values))
+def index_meta(
+    df: DataFrame, F: CompositeAggregator
+) -> tuple[tuple[float, float, float, float], list[PreparedSpec]]:
+    """The objects' bounding box ``(x0, x1, y0, y1)`` and ``F``'s specs
+    bound to them, from one ``agg`` job.
 
-
-def resolve_domains(df: DataFrame, F: CompositeAggregator) -> CompositeAggregator:
-    """Return ``F`` with every fD domain made explicit (distinct scan for
-    any spec that left it empty). Required before any distributed use —
-    a worker must not derive a partition-local domain."""
-    specs = []
-    for spec in F.specs:
+    An fD spec without a domain gets the sorted distinct values of its
+    attribute. An empty table reads as the box at the origin, empty
+    domains and zero ranges."""
+    exprs = [sf.min("x"), sf.max("x"), sf.min("y"), sf.max("y")]
+    for i, spec in enumerate(F.specs):
         if spec.kind == "dist" and not spec.domain:
-            vals = [r[0] for r in df.select(spec.attr).distinct().collect()]
-            specs.append(
-                AggregatorSpec(spec.kind, spec.attr, spec.gamma, tuple(sorted(vals)))
-            )
-        else:
-            specs.append(spec)
-    return CompositeAggregator(tuple(specs))
-
-
-def channel_exprs(
-    F: CompositeAggregator,
-    minmax: dict[int, tuple[float, float]] | None = None,
-) -> list[Column]:
-    """Per-object channel columns, in ``core.aggregators`` channel order,
-    plus the trailing plain-count channel.
-
-    ``minmax[i]`` supplies the fA spec ``i``'s global value range, needed
-    to build its value-bucket indicator channels (see
-    ``core.aggregators.AVG_BUCKETS``); obtain it with
-    ``avg_spec_minmax``. Required when ``F`` contains an fA spec.
-    """
-    from repro.core.aggregators import AVG_BUCKETS
-
-    minmax = minmax or {}
-    cols: list[Column] = []
-    k = 0
-    for i, spec in enumerate(F.specs):
-        g = gamma_cond(spec.gamma)
-        if spec.kind == "dist":
-            for v in spec.domain:
-                cols.append(
-                    sf.when(g & (sf.col(spec.attr) == sf.lit(v)), 1.0)
-                    .otherwise(0.0)
-                    .alias(f"ch_{k}")
-                )
-                k += 1
-        else:
+            exprs.append(sf.collect_set(spec.attr).alias(f"dom_{i}"))
+        elif spec.kind == "avg":
             val = sf.col(spec.attr).cast("double")
-            if spec.kind == "avg":
-                cols.append(sf.when(g, 1.0).otherwise(0.0).alias(f"ch_{k}"))
-                k += 1
-            cols.append(
-                sf.when(g, sf.greatest(val, sf.lit(0.0))).otherwise(0.0).alias(f"ch_{k}")
-            )
-            k += 1
-            cols.append(
-                sf.when(g, sf.least(val, sf.lit(0.0))).otherwise(0.0).alias(f"ch_{k}")
-            )
-            k += 1
-            if spec.kind == "avg":
-                if i not in minmax:
-                    raise ValueError(
-                        f"spec {i}: fA channel exprs need minmax (use avg_spec_minmax)"
-                    )
-                amin, amax = minmax[i]
-                width = (amax - amin) or 1.0
-                code = sf.least(
-                    sf.greatest(
-                        sf.floor((val - sf.lit(amin)) / sf.lit(width) * sf.lit(AVG_BUCKETS)),
-                        sf.lit(0),
-                    ),
-                    sf.lit(AVG_BUCKETS - 1),
-                )
-                for kb in range(AVG_BUCKETS):
-                    cols.append(
-                        sf.when(g & (code == sf.lit(kb)), 1.0)
-                        .otherwise(0.0)
-                        .alias(f"ch_{k}")
-                    )
-                    k += 1
-    cols.append(sf.lit(1.0).alias(f"ch_{k}"))
-    return cols
-
-
-def cell_channel_sums(
-    df: DataFrame,
-    F: CompositeAggregator,
-    x0: float,
-    y0: float,
-    cw: float,
-    ch: float,
-    sx: int,
-    sy: int,
-    minmax: dict[int, tuple[float, float]] | None = None,
-) -> DataFrame:
-    """Channel totals per non-empty grid cell: the ``groupBy`` half of the
-    summary build. Cells without objects have no row."""
-    if minmax is None:
-        minmax = avg_spec_minmax(df, F)
-    cols = channel_exprs(F, minmax)
-    tagged = with_cell_ids(df.select("*", *cols), x0, y0, cw, ch, sx, sy)
-    return tagged.groupBy("ci", "cj").agg(
-        *[sf.sum(f"ch_{k}").alias(f"ch_{k}") for k in range(len(cols))]
-    )
-
-
-def avg_spec_minmax(df: DataFrame, F: CompositeAggregator) -> dict[int, tuple[float, float]]:
-    """Global [amin, amax] per fA spec (needed by its bound formula)."""
-    exprs, keys = [], []
-    for i, spec in enumerate(F.specs):
-        if spec.kind == "avg":
-            g = gamma_cond(spec.gamma)
-            val = sf.when(g, sf.col(spec.attr).cast("double"))
-            exprs += [sf.min(val).alias(f"mn_{i}"), sf.max(val).alias(f"mx_{i}")]
-            keys.append(i)
-    if not exprs:
-        return {}
+            if spec.gamma.attr is not None:
+                val = sf.when(sf.col(spec.gamma.attr).isin(list(spec.gamma.values)), val)
+            exprs += [sf.min(val).alias(f"amin_{i}"), sf.max(val).alias(f"amax_{i}")]
     row = df.agg(*exprs).collect()[0]
-    return {
-        i: (
-            float(row[f"mn_{i}"]) if row[f"mn_{i}"] is not None else 0.0,
-            float(row[f"mx_{i}"]) if row[f"mx_{i}"] is not None else 0.0,
-        )
-        for i in keys
-    }
+
+    def num(v) -> float:
+        return 0.0 if v is None else float(v)
+
+    specs: list[PreparedSpec] = []
+    for i, spec in enumerate(F.specs):
+        if spec.kind == "dist":
+            domain = spec.domain or tuple(sorted(row[f"dom_{i}"]))
+            specs.append(PreparedSpec(spec, domain=domain))
+        elif spec.kind == "avg":
+            specs.append(PreparedSpec(spec, amin=num(row[f"amin_{i}"]), amax=num(row[f"amax_{i}"])))
+        else:
+            specs.append(PreparedSpec(spec))
+    return (num(row[0]), num(row[1]), num(row[2]), num(row[3])), specs
 
 
 def build_grid_index_spark(
-    df: DataFrame,
-    F: CompositeAggregator,
-    sx: int,
-    sy: int,
-    bounds: tuple[float, float, float, float] | None = None,
+    df: DataFrame, F: CompositeAggregator, sx: int, sy: int
 ) -> tuple[GridIndex, CompositeAggregator]:
     """Distributed build of the Section-5 grid index.
 
     Returns ``(index, F_resolved)`` — the index (with a metadata-only
     ``Prepared``) and ``F`` with all fD domains resolved, which callers
-    must use for any subsequent distributed work.
+    must use for any subsequent distributed work: a worker must not
+    derive a partition-local domain.
     """
-    F = resolve_domains(df, F)
-    if bounds is None:
-        r = df.agg(
-            sf.min("x"), sf.max("x"), sf.min("y"), sf.max("y")
-        ).collect()[0]
-        bounds = (float(r[0]), float(r[1]), float(r[2]), float(r[3]))
-    x0, x1, y0, y1 = bounds
-    cw = (x1 - x0) / sx if x1 > x0 else 1.0
-    chh = (y1 - y0) / sy if y1 > y0 else 1.0
-    mm = avg_spec_minmax(df, F)
-    pdf = cell_channel_sums(df, F, x0, y0, cw, chh, sx, sy, minmax=mm).toPandas()
+    (x0, x1, y0, y1), specs = index_meta(df, F)
+    x0, y0, cw, ch = grid_frame(x0, x1, y0, y1, sx, sy)
+    n_ch = sum(ps.n_channels for ps in specs) + 1  # the plain count last
+    schema = ", ".join(["ci long", "cj long"] + [f"ch_{k} double" for k in range(n_ch)])
+    cols = {"x", "y"} | {a for ps in specs for a in (ps.spec.attr, ps.spec.gamma.attr) if a}
+
+    def cell_totals(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            ci, cj = cell_ids(
+                pdf["x"].to_numpy(dtype=np.float64), pdf["y"].to_numpy(dtype=np.float64),
+                x0, y0, cw, ch, sx, sy,
+            )
+            cells, inv = np.unique(ci * sy + cj, return_inverse=True)
+            W = channel_weights(specs, pdf)
+            sums = [np.bincount(inv, weights=w, minlength=len(cells)) for w in W.T]
+            sums.append(np.bincount(inv, minlength=len(cells)).astype(np.float64))
+            yield pd.DataFrame(
+                {"ci": cells // sy, "cj": cells % sy}
+                | {f"ch_{k}": c for k, c in enumerate(sums)}
+            )
+
+    totals = df.select(*sorted(cols)).mapInPandas(cell_totals, schema).toPandas()
     suffix = suffix_summaries(
-        pdf["ci"].to_numpy(dtype=np.int64),
-        pdf["cj"].to_numpy(dtype=np.int64),
-        pdf.drop(columns=["ci", "cj"]).to_numpy(dtype=np.float64),
+        totals["ci"].to_numpy(dtype=np.int64),
+        totals["cj"].to_numpy(dtype=np.int64),
+        totals.drop(columns=["ci", "cj"]).to_numpy(dtype=np.float64),
         sx,
         sy,
     )
-    prepared = prepare_meta(F, minmax=mm)
+    prepared = Prepared(specs, np.zeros((0, n_ch - 1)))
     index = GridIndex(
-        sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=chh, suffix=suffix, prepared=prepared
+        sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=ch, suffix=suffix, prepared=prepared
     )
-    return index, F
+    return index, CompositeAggregator(tuple(replace(ps.spec, domain=ps.domain) for ps in specs))

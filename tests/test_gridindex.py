@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 
 from repro.core import gridindex
-from repro.core.aggregators import CompositeAggregator, dist_agg, sum_agg
+from repro.core.aggregators import CompositeAggregator, Selection, dist_agg, sum_agg
 from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
@@ -15,6 +15,7 @@ from repro.core.gridindex import (
     GridIndex,
     build_grid_index,
     candidate_cell_bounds,
+    cell_ids,
     gi_ds,
 )
 from repro.core.reduction import build_asp
@@ -90,6 +91,14 @@ class TestLemma8:
         assert sizes[0] < sizes[1] < sizes[2]
 
 
+class TestCellIds:
+    def test_clipped_into_grid(self):
+        x = y = np.array([0.0, 5.0, 10.0])
+        ci, cj = cell_ids(x, y, 0.0, 0.0, 2.5, 2.5, 4, 4)
+        assert ci.tolist() == [0, 2, 3]  # 10.0 clipped into last cell
+        assert cj.tolist() == [0, 2, 3]
+
+
 class TestCandidateCellBounds:
     @pytest.mark.parametrize("seed", range(6))
     def test_bounds_valid_for_sampled_corners(self, seed):
@@ -139,6 +148,28 @@ class TestGIDS:
         got1, _, _ = gi_ds(df, F, qrep, w, a, b, index=idxg)
         got2, _, _ = gi_ds(df, F, qrep, w, a, b, sx=8, sy=8)
         assert got1 == pytest.approx(got2, abs=1e-12)
+
+    def test_index_for_another_f_raises(self):
+        df, _, _, _, a, b = make_inputs(3)
+        F = CompositeAggregator((sum_agg("val", Selection("color", ("red",))),))
+        idxg = build_grid_index(df, CompositeAggregator((sum_agg("val"),)), 6, 6)
+        with pytest.raises(ValueError, match="index"):
+            gi_ds(df, F, np.array([1.0]), np.array([1.0]), a, b, index=idxg)
+
+    def test_index_on_other_objects_raises(self):
+        df, F, qrep, w, a, b = make_inputs(3)
+        other = random_objects(np.random.default_rng(99), len(df))
+        with pytest.raises(ValueError, match="index"):
+            gi_ds(df, F, qrep, w, a, b, index=build_grid_index(other, F, 6, 6))
+
+    def test_index_with_another_count_raises(self):
+        """A duplicate object keeps the box, so only the count differs."""
+        df, F, qrep, w, a, b = make_inputs(3)
+        idxg = build_grid_index(pd.concat([df, df.iloc[:1]], ignore_index=True), F, 6, 6)
+        ref = build_grid_index(df, F, 6, 6)
+        assert (idxg.x0, idxg.y0, idxg.cw, idxg.ch) == (ref.x0, ref.y0, ref.cw, ref.ch)
+        with pytest.raises(ValueError, match="index"):
+            gi_ds(df, F, qrep, w, a, b, index=idxg)
 
     def test_stats_report_search_ratio(self):
         df, F, qrep, w, a, b = make_inputs(4)

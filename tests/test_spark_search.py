@@ -79,14 +79,11 @@ class TestDistributedGIDS:
         assert stats.index_bytes > 0
         assert np.isfinite(stats.seed_dist)
 
-    def test_prebuilt_index_and_accuracy_override(self, spark):
+    def test_accuracy_override(self, spark):
         pdf, F, qrep, w, a, b = make_inputs(6)
         sdf = spark.createDataFrame(pdf)
-        from repro.spark.summaries import build_grid_index_spark
-
-        idx, F_res = build_grid_index_spark(sdf, F, 6, 6)
         got, _, _ = gi_ds_distributed(
-            sdf, F_res, qrep, w, a, b, index=idx, accuracy=(0.25, 0.25)
+            sdf, F, qrep, w, a, b, sx=6, sy=6, accuracy=(0.25, 0.25)
         )
         expected, _ = brute_force_asp(build_asp(pdf, F, qrep, w, a, b))
         assert got == pytest.approx(expected, abs=1e-8)
@@ -94,12 +91,14 @@ class TestDistributedGIDS:
 
 class TestAdversarialScan:
     """The distributed scan against brute force on objects exactly on
-    index-cell edges, duplicate objects, a single object, and an fA
-    attribute with one distinct value (its scan tasks run DS-Search)."""
+    index-cell edges, duplicate objects, a degenerate box, a region larger
+    than the box, zero objects (every aggregator), a single object, and an
+    fA attribute with one distinct value (its scan tasks run DS-Search)."""
 
     @pytest.mark.parametrize(
         "case, zoo_idx",
-        [("cell_edges", 4), ("duplicates", 3), ("one", 1), ("one_value", 2)],
+        [("cell_edges", 4), ("duplicates", 3), ("one", 1), ("one_value", 2),
+         ("one_x", 0), ("large_region", 3)] + [("zero", k) for k in range(5)],
     )
     def test_matches_brute_force(self, spark, case, zoo_idx):
         rng = np.random.default_rng(zoo_idx)
@@ -112,9 +111,9 @@ class TestAdversarialScan:
         qrep = qrep * 0.8
         prob = build_asp(df, F, qrep, w, a, b)
         expected, _ = brute_force_asp(prob)
-        got, pt, _ = gi_ds_distributed(
-            spark.createDataFrame(df), F, qrep, w, a, b, sx=6, sy=6
-        )
+        # an explicit schema: Spark cannot infer one from zero rows
+        sdf = spark.createDataFrame(df, "x double, y double, color string, val double")
+        got, pt, _ = gi_ds_distributed(sdf, F, qrep, w, a, b, sx=6, sy=6)
         assert got == pytest.approx(expected, abs=1e-8)
         assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
 
