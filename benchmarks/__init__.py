@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import time
 
+from repro.core.dssearch import SearchStats
+from repro.core.sweepline import sweepline_search
 from repro.synth_data import poisyn_pdf, tweets_pdf
 from repro.workloads import f1_aggregator, f1_query, f2_aggregator, f2_query, query_size
 
@@ -20,8 +22,12 @@ SEED = 7
 #: two exact algorithms return the same distance to within this
 TOL = 1e-8
 
-#: the work counters a call's stats may carry: DS-Search's, then GI-DS's
-COUNTERS = ("spaces_processed", "points_evaluated", "searched_cells", "total_cells", "index_bytes")
+#: the work counters a call's stats may carry: DS-Search's and Base's,
+#: then GI-DS's
+COUNTERS = (
+    "spaces_processed", "enum_spaces", "points_evaluated",
+    "searched_cells", "total_cells", "index_bytes",
+)
 
 
 def datasets() -> tuple:
@@ -37,6 +43,13 @@ def query(pdf, make_q, k: float) -> tuple:
     """``(query_rep, weights, a, b)`` for the query size ``k``q."""
     a, b = query_size(pdf, k)
     return (*make_q(pdf, a, b), a, b)
+
+
+def base(prob) -> tuple:
+    """Base (``sweepline_search``) with its work counters:
+    ``(distance, location, stats)``."""
+    stats = SearchStats()
+    return (*sweepline_search(prob, stats), stats)
 
 
 def call(fn, *args, **kwargs) -> dict:

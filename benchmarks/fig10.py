@@ -8,10 +8,9 @@ DS-Search over Base is larger at 10K than at 2K, and above 1 at 10K.
 """
 from __future__ import annotations
 
-from benchmarks import SEED, TOL, call, datasets, query
+from benchmarks import SEED, TOL, base, call, datasets, query
 from repro.core.dssearch import ds_search
 from repro.core.reduction import build_asp
-from repro.core.sweepline import sweepline_search
 
 BOTH_NS = (1_000, 2_000, 4_000, 7_000, 10_000)
 DS_ONLY_NS = (30_000, 100_000)
@@ -28,7 +27,7 @@ def rows(both_ns: tuple = BOTH_NS, ds_only_ns: tuple = DS_ONLY_NS) -> list[dict]
                     "dataset": name,
                     "n": n,
                     "ds": call(ds_search, prob),
-                    "base": call(sweepline_search, prob) if n in both_ns else None,
+                    "base": call(base, prob) if n in both_ns else None,
                 }
             )
     return out

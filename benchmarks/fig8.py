@@ -7,10 +7,9 @@ Claim: DS-Search and Base return the same distance.
 """
 from __future__ import annotations
 
-from benchmarks import SEED, TOL, call, datasets, query
+from benchmarks import SEED, TOL, base, call, datasets, query
 from repro.core.dssearch import ds_search
 from repro.core.reduction import build_asp
-from repro.core.sweepline import sweepline_search
 
 N = 3_000
 QUERY_SIZES = (1, 4, 7, 10)
@@ -28,7 +27,7 @@ def rows(n: int = N) -> list[dict]:
                     "n": n,
                     "query_size": f"{k}q",
                     "ds": call(ds_search, prob),
-                    "base": call(sweepline_search, prob),
+                    "base": call(base, prob),
                 }
             )
     return out

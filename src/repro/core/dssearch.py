@@ -38,15 +38,21 @@ guarantee are unchanged: every root and every sub-space is popped in
 bound order, and the scan stops at the first bound ``>= dopt/(1+delta)``.
 
 Both kernels do each piece of per-rectangle work once. Discretize merges
-each axis's cell edges and centers into one sorted array, so a single
-search per rectangle extent (four per call) yields the cover, full and
-center index ranges (``_cell_boxes``), and the three planes come from one
-difference-array scatter (``_accum_planes``). Every classification and
-every floating-point sum is the one the separate searches and scatters
-would give. ``enumerate_space`` resolves a space whose arrangement has
-at most ``DEFAULT_ENUM_POINTS`` elementary cells with that same machinery:
-the cells are clean, so Discretize's center plane over the space's own
-edges (one scatter, no loop) evaluates every one of them. Only Base's
+each axis's cell edges and centers into one sorted array ``M``. A
+rectangle's cover, full and center index ranges depend only on the ranks
+of its two ends in ``M`` and their exact-match counts; on Discretize's
+uniform grid the ranks are arithmetic, corrected against ``M``
+(``_ranks``). Rectangles with the same ranks on both axes share all three
+boxes, so one ``bincount`` sums their channels per group, and the three
+planes come from one difference-array scatter over the groups
+(``_accum_planes``). The clean/dirty classification is exact, since the
+count channel adds integers; the channel sums add in another order than
+rectangle by rectangle, so a bound or distance can differ from a
+per-rectangle scatter in its last bits. ``enumerate_space`` resolves a
+space whose arrangement has at most ``DEFAULT_ENUM_POINTS`` elementary
+cells with the same merged ranks and scatter: the cells are clean, so
+Discretize's center plane over the space's own (non-uniform, searched)
+edges evaluates every one of them in one scatter, no loop. Only Base's
 full space, with millions of cells but few rectangles active per column,
 keeps a column loop, which sorts the space's y-events once; each column
 takes its active rectangles' events from that order.
@@ -164,44 +170,119 @@ def _accum_planes(
     return D[:, :, :ncol, :nrow].cumsum(axis=2).cumsum(axis=3)
 
 
+def _merged(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell centers of ``edges`` and the merged ``M = [e0, c0, e1, ..., e_n]``."""
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    M = np.empty(2 * len(edges) - 1)
+    M[0::2] = edges
+    M[1::2] = centers
+    return centers, M
+
+
+def _ranks(M: np.ndarray, v: np.ndarray, uniform: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(r, l)``: how many entries of the non-decreasing ``M`` are
+    ``<= v`` and ``< v``, per value.
+
+    On a strictly increasing ``M``, ``l`` is ``r`` less one exact match.
+    If ``M`` is also ``uniform`` (a ``linspace`` grid's edges and centers)
+    ``r`` is first estimated by arithmetic, ``floor((v - M[0]) / step) +
+    1`` clipped, then moved one entry at a time towards ``M``'s own count
+    until no element moves: each step moves a wrong rank towards the one
+    correct rank and never past it, so the result is exact however far
+    rounding put the estimate. Otherwise ``r`` is searched, and on an
+    ulp-thin or degenerate axis, whose edges and centers coincide, so
+    is ``l``.
+    """
+    if not (M[:-1] < M[1:]).all():
+        return np.searchsorted(M, v, side="right"), np.searchsorted(M, v, side="left")
+    Mx = np.concatenate([[-np.inf], M, [np.inf]])  # Mx[r] = M[r - 1], Mx[r + 1] = M[r]
+    step = (M[-1] - M[0]) / (len(M) - 1)
+    if not (uniform and step > 0):
+        r = np.searchsorted(M, v, side="right")
+        return r, r - (Mx[r] == v)
+    r = np.clip(np.floor((v - M[0]) / step) + 1, 0, len(M)).astype(np.intp)
+    while True:
+        below = Mx[r]  # the largest entry counted
+        move = (Mx[r + 1] <= v).astype(np.intp) - (below > v)
+        if not move.any():
+            return r, r - (below == v)
+        r += move
+
+
+def _ranges(
+    n: int, r_lo: np.ndarray, l_lo: np.ndarray, r_hi: np.ndarray, l_hi: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``[cover, full, center]`` index ranges over ``n`` cells of the open
+    intervals ``(lo, hi)`` with ``_ranks`` ``(r_lo, l_lo)`` and
+    ``(r_hi, l_hi)``, each a ``(first, last)`` pair (empty when
+    ``first > last``). ``(r + 1) // 2`` edges and ``r // 2`` centers are
+    ``<= v``, and likewise ``< v`` with ``l``."""
+    return [
+        (  # cells whose open interior meets the interval
+            np.clip((r_lo + 1) // 2 - 1, 0, n - 1),
+            np.clip((l_hi + 1) // 2 - 1, 0, n - 1),
+        ),
+        ((l_lo + 1) // 2, np.minimum((r_hi + 1) // 2 - 2, n - 1)),  # inside [lo, hi]
+        (r_lo // 2, np.minimum(l_hi // 2 - 1, n - 1)),  # center inside (lo, hi)
+    ]
+
+
 def _cell_boxes(
     edges: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Per-axis index ranges of the cells each open interval ``(lo, hi)``
-    meets, lies inside, and whose center it contains.
+    meets, lies inside, and whose center it contains, over increasing
+    (not necessarily uniform) ``edges``.
 
-    Returns ``([cover, full, center], centers)``, each range a
-    ``(first, last)`` pair of cell indices (empty when ``first > last``).
-    Every classification compares against the one shared ``edges`` array
-    and its midpoints, merged into ``M = [e0, c0, e1, ..., e_n]``: for a
-    non-decreasing ``M`` the entries ``<= v`` are a prefix of length
-    ``r``, so ``(r + 1) // 2`` edges and ``r // 2`` centers are ``<= v``,
-    and likewise ``< v`` with the ``side="left"`` count. So one search
-    per array serves all three ranges. The ``side="left"`` count is
-    ``r`` less one exact match when ``M`` is strictly increasing; on an
-    ulp-thin space, whose edges and centers coincide, it is searched.
+    Returns ``([cover, full, center], centers)`` (see ``_ranges``). Every
+    classification compares against the one shared ``edges`` array and
+    its midpoints, merged into ``M``, so one search over both ends serves
+    all three ranges.
     """
-    n = len(edges) - 1
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    M = np.empty(2 * n + 1)
-    M[0::2] = edges
-    M[1::2] = centers
-    r_lo = np.searchsorted(M, lo, side="right")
-    r_hi = np.searchsorted(M, hi, side="right")
-    if (M[:-1] < M[1:]).all():
-        # r == 0 means v < M[0] < M[-1], so M[r - 1] cannot match
-        l_lo = r_lo - (M[r_lo - 1] == lo)
-        l_hi = r_hi - (M[r_hi - 1] == hi)
-    else:
-        l_lo = np.searchsorted(M, lo, side="left")
-        l_hi = np.searchsorted(M, hi, side="left")
-    cover = (  # cells whose open interior meets the interval
-        np.clip((r_lo + 1) // 2 - 1, 0, n - 1),
-        np.clip((l_hi + 1) // 2 - 1, 0, n - 1),
-    )
-    full = ((l_lo + 1) // 2, np.minimum((r_hi + 1) // 2 - 2, n - 1))  # inside [lo, hi]
-    center = (r_lo // 2, np.minimum(l_hi // 2 - 1, n - 1))  # center inside (lo, hi)
-    return [cover, full, center], centers
+    centers, M = _merged(edges)
+    r, l = _ranks(M, np.concatenate([lo, hi]), uniform=False)
+    m = len(lo)
+    return _ranges(len(edges) - 1, r[:m], l[:m], r[m:], l[m:]), centers
+
+
+def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``key`` (integers in ``[0, size)``),
+    ascending, and each element's index among them. A presence array and
+    its ``cumsum``, linear in ``size + m`` for ``m`` keys, when ``size``
+    is at most ``m * log2(m + 1)``, the comparisons a sort of the keys
+    makes; a sort (``np.unique``) otherwise."""
+    if size > len(key) * np.log2(len(key) + 1):
+        return np.unique(key, return_inverse=True)
+    present = np.zeros(size, dtype=bool)
+    present[key] = True
+    return np.flatnonzero(present), np.cumsum(present)[key] - 1
+
+
+def _axis_groups(
+    edges: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, int, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Group the intervals ``(lo, hi)`` on the uniform grid ``edges`` by
+    the key their ranges depend on alone: ``(r_lo, e_lo, r_hi, e_hi)``,
+    the ``_ranks`` of each end and its count of exact matches
+    ``e = r - l`` (more than 1 only on an ulp-thin axis).
+
+    The ends' distinct ``(r, e)`` pairs are compacted first, then each
+    interval's pair of end ids, so no key exceeds ``(len(M) + 1) ** 2``
+    or four times the squared interval count, however many entries an
+    ulp-thin ``M`` repeats. Returns each interval's group id, the number
+    of groups, each group's ``[cover, full, center]`` ranges, and the
+    cell centers.
+    """
+    centers, M = _merged(edges)
+    r, l = _ranks(M, np.concatenate([lo, hi]), uniform=True)
+    e = r - l
+    E = 1 + int(e.max(initial=0))
+    ends, end_id = _compact(r * E + e, (len(M) + 1) * E)
+    keys, ids = _compact(end_id[: len(lo)] * len(ends) + end_id[len(lo):], len(ends) ** 2)
+    r, e = np.divmod(ends, E)
+    k_lo, k_hi = np.divmod(keys, len(ends))
+    ranges = _ranges(len(edges) - 1, r[k_lo], (r - e)[k_lo], r[k_hi], (r - e)[k_hi])
+    return ids, len(keys), ranges, centers
 
 
 def discretize(
@@ -227,15 +308,24 @@ def discretize(
     hc = space.height / nrow
     if idx is None:
         idx = prob.overlapping(space)
-    bx, centers_x = _cell_boxes(edges_x, prob.x_lo[idx], prob.x_hi[idx])
-    by, centers_y = _cell_boxes(edges_y, prob.y_lo[idx], prob.y_hi[idx])
-    # the channel weights plus a count channel, in one array
-    C = prob.prepared.n_channels
-    Wext = np.empty((len(idx), C + 1))
-    Wext[:, :C] = prob.prepared.weights[idx]
-    Wext[:, C] = 1.0
+    gx, nx, bx, centers_x = _axis_groups(edges_x, prob.x_lo[idx], prob.x_hi[idx])
+    gy, ny, by, centers_y = _axis_groups(edges_y, prob.y_lo[idx], prob.y_hi[idx])
+    # rectangles in one x-group and one y-group share all three boxes
+    keys, gid = _compact(gx * ny + gy, nx * ny)
+    kx, ky = np.divmod(keys, ny)
+    # the channel weights plus a count channel, summed per group by one
+    # bincount; the count channel is the group size, so it stays exact
+    C = prob.prepared.n_channels + 1
+    Wext = np.empty((len(idx), C))
+    Wext[:, :-1] = prob.prepared.weights[idx]
+    Wext[:, -1] = 1.0
+    bins = (gid * C)[:, None] + np.arange(C)
+    G = np.bincount(bins.reshape(-1), weights=Wext.reshape(-1), minlength=len(keys) * C)
     cover, full, center = _accum_planes(
-        [(i0, i1, j0, j1) for (i0, i1), (j0, j1) in zip(bx, by)], Wext, ncol, nrow
+        [(i0[kx], i1[kx], j0[ky], j1[ky]) for (i0, i1), (j0, j1) in zip(bx, by)],
+        G.reshape(-1, C),
+        ncol,
+        nrow,
     )
     n_partial = cover[-1] - full[-1]
     clean = n_partial < 0.5

@@ -70,6 +70,23 @@ def check_delta(delta: float) -> None:
         raise ValueError(f"delta must be non-negative, got {delta}")
 
 
+def check_accuracy(accuracy) -> tuple[float, float] | None:
+    """Validate a GPS accuracy override ``(dx, dy)`` and return it as two
+    floats (``None``, no override, passes through). Both values must be
+    above 0, and NaN is not. ``inf`` is allowed: the drop condition then
+    fires at the root, and the search stays exact through in-cell
+    enumeration. Raises ``ValueError`` naming ``accuracy``."""
+    if accuracy is None:
+        return None
+    try:
+        acc = np.asarray(accuracy, dtype=np.float64)
+    except (TypeError, ValueError):
+        acc = np.zeros(0)
+    if acc.shape != (2,) or not (acc > 0).all():
+        raise ValueError(f"accuracy must be two values (dx, dy) above 0, got {accuracy!r}")
+    return float(acc[0]), float(acc[1])
+
+
 @dataclass
 class ASPProblem:
     """A reduced ASP instance: rectangles + prepared aggregator + query.
@@ -144,10 +161,11 @@ def build_asp(
     *larger* value only makes DS-Search switch earlier from splitting to
     exact in-cell enumeration (see dssearch.py) — exactness holds either
     way. ``query_rep`` and ``weights`` are validated by ``check_query``,
-    ``a`` and ``b`` by ``check_sizes``; non-finite coordinates raise
-    ``ValueError``.
+    ``a`` and ``b`` by ``check_sizes``, ``accuracy`` by
+    ``check_accuracy``; non-finite coordinates raise ``ValueError``.
     """
     check_sizes(a, b)
+    accuracy = check_accuracy(accuracy)
     x = objects["x"].to_numpy(dtype=np.float64)
     y = objects["y"].to_numpy(dtype=np.float64)
     for name, v in (("x", x), ("y", y)):

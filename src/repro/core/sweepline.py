@@ -18,17 +18,21 @@ column loop, not the one-scatter branch DS-Search's small spaces take.
 """
 from __future__ import annotations
 
-from repro.core.dssearch import enumerate_space
+from repro.core.dssearch import SearchStats, enumerate_space
 from repro.core.reduction import ASPProblem
 
 
-def sweepline_search(prob: ASPProblem) -> tuple[float, tuple[float, float]]:
+def sweepline_search(
+    prob: ASPProblem, stats: SearchStats | None = None
+) -> tuple[float, tuple[float, float]]:
     """Exact ASP optimum via the sweep-line baseline.
 
     Returns ``(distance, location)``; includes the empty-region
     candidate so the result matches DS-Search on all instances.
+    ``stats``, if given, counts the kernel's work: one enumerated space
+    (``enum_spaces``) and the regions evaluated (``points_evaluated``).
     """
-    d, pt = enumerate_space(prob, prob.space)
+    d, pt = enumerate_space(prob, prob.space, stats)
     if prob.empty_dist < d:
         return prob.empty_dist, (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
     return d, pt

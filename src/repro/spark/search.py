@@ -54,7 +54,13 @@ from repro.core.distance import weighted_l1
 from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
 from repro.core.gridindex import candidate_cell_bounds
-from repro.core.reduction import build_asp, check_delta, check_query, check_sizes
+from repro.core.reduction import (
+    build_asp,
+    check_accuracy,
+    check_delta,
+    check_query,
+    check_sizes,
+)
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
@@ -127,13 +133,15 @@ def gi_ds_distributed(
 
     ``accuracy`` fixes the GPS accuracies ``(dx, dy)`` of every search;
     by default each search measures its own (see the module docstring).
-    An invalid size or ``delta`` raises ``ValueError`` before any Spark
-    job (``core.reduction.check_sizes``, ``check_delta``), an invalid
-    query before the cell bounds (``check_query``). An empty ``df``
-    yields the empty-region candidate, as ``core.gridindex.gi_ds`` does.
+    An invalid size, ``delta`` or ``accuracy`` raises ``ValueError``
+    before any Spark job (``core.reduction.check_sizes``, ``check_delta``,
+    ``check_accuracy``), an invalid query before the cell bounds
+    (``check_query``). An empty ``df`` yields the empty-region
+    candidate, as ``core.gridindex.gi_ds`` does.
     """
     check_sizes(a, b)
     check_delta(delta)
+    accuracy = check_accuracy(accuracy)
     spark = df.sparkSession
     index, F = build_grid_index_spark(df, F, sx, sy)
     # validated here too: the cell bounds use the query before any build_asp

@@ -298,6 +298,19 @@ class TestDropAndTermination:
         assert got == pytest.approx(expected, abs=1e-8)
         assert stats.drop_events >= 1
 
+    def test_infinite_accuracy_drops_at_root_and_stays_exact(self, monkeypatch):
+        """``accuracy=(inf, inf)`` is a valid override: the drop condition
+        fires at the root, which is the only space processed."""
+        rng = np.random.default_rng(5)
+        df = random_objects(rng, 25)
+        qrep, w = np.array([1.5, 0.5, 0.5]), np.ones(3)
+        prob = build_asp(df, aggregator_zoo()[0], qrep, w, 1.5, 1.5, accuracy=(np.inf, np.inf))
+        expected, _ = brute_force_asp(prob)
+        no_enum_guard(monkeypatch)
+        got, _, stats = ds_search(prob)
+        assert got == pytest.approx(expected, abs=1e-8)
+        assert stats.drop_events == stats.spaces_processed == 1
+
     def test_search_terminates_on_adversarial_alignment(self, monkeypatch):
         """Many identical coordinates -> degenerate accuracy gaps."""
         df = pd.DataFrame(

@@ -10,6 +10,7 @@ from repro.core import dssearch
 from repro.core.aggregators import CompositeAggregator, dist_agg, sum_agg
 from repro.core.dssearch import (
     _accum_planes,
+    _merged,
     discretize,
     ds_search,
     enumerate_space,
@@ -19,6 +20,7 @@ from repro.core.dssearch import (
 from repro.core.geometry import Space
 from repro.core.reduction import build_asp
 from tests.conftest import random_objects, random_query, aggregator_zoo
+from tests.test_discretize import ulp_thin_prob
 
 
 def accum_one(i0, i1, j0, j1, W, ncol, nrow):
@@ -181,14 +183,29 @@ class TestWorkCounts:
         return build_asp(df, F, qrep, w, 1.5, 1.5)
 
     @pytest.mark.parametrize("grid", [(30, 30), (1, 900), (7, 5)])
-    def test_discretize_four_searches_one_scatter(self, monkeypatch, grid):
+    def test_discretize_arithmetic_ranks_two_bincounts(self, monkeypatch, grid):
+        """On a strictly increasing grid the ranks are arithmetic (no
+        search); one bincount sums the cell-box groups, one scatters them."""
         prob = self.instance(21)
         searches = self.count_calls(monkeypatch, "searchsorted")
-        scatters = self.count_calls(monkeypatch, "bincount")
+        bincounts = self.count_calls(monkeypatch, "bincount")
         g = discretize(prob, prob.space, *grid)
         assert len(g.dirty_i) > 0  # a grid the rectangles cut
-        assert len(searches) <= 4
-        assert len(scatters) <= 1
+        assert len(searches) == 0
+        assert len(bincounts) == 2
+
+    def test_discretize_ulp_thin_axis_two_searches(self, monkeypatch):
+        """An ulp-thin axis, whose edges and centers coincide, is searched:
+        both sides, each over both ends at once; the other axis not at all."""
+        prob = ulp_thin_prob(0)
+        _, M = _merged(np.linspace(prob.space.x0, prob.space.x1, 31))
+        assert not (np.diff(M) > 0).all()
+        searches = self.count_calls(monkeypatch, "searchsorted")
+        bincounts = self.count_calls(monkeypatch, "bincount")
+        g = discretize(prob, prob.space, 30, 30)
+        assert len(g.dirty_i) > 0
+        assert len(searches) == 2
+        assert len(bincounts) == 2
 
     def test_enumerate_space_one_sort(self, monkeypatch):
         """The column loop, forced by a zero budget, sorts y-events once."""
@@ -202,7 +219,7 @@ class TestWorkCounts:
 
     def test_enumerate_space_dense_one_scatter(self, monkeypatch):
         """A small arrangement is resolved by one center-plane scatter:
-        no sort, two searches per axis, one bincount."""
+        no sort, one search per axis, one bincount."""
         prob = self.instance(22)
         xe, ye = interior_edges(prob, prob.space, prob.overlapping(prob.space))
         assert len(xe) > 20 and (len(xe) + 1) * (len(ye) + 1) <= dssearch.DEFAULT_ENUM_POINTS
@@ -211,7 +228,7 @@ class TestWorkCounts:
         scatters = self.count_calls(monkeypatch, "bincount")
         enumerate_space(prob, prob.space)
         assert len(sorts) == 0
-        assert len(searches) <= 4
+        assert len(searches) == 2
         assert len(scatters) == 1
 
     def test_ds_search_finds_edges_once(self, monkeypatch):

@@ -18,6 +18,8 @@ def test_fig8():
     fig8.check(rows)
     assert len(rows) == 8  # 2 datasets x 4 query sizes
     assert all(r["ds"]["s"] > 0 and r["base"]["s"] > 0 for r in rows)
+    # Base's work next to DS-Search's: one full-space enumeration
+    assert all(r["base"]["enum_spaces"] == 1 and r["base"]["points_evaluated"] > 0 for r in rows)
 
 
 def test_fig9():
@@ -30,7 +32,7 @@ def test_fig10():
     rows = fig10.rows(both_ns=(300, 800), ds_only_ns=())
     fig10.check(rows)
     assert len(rows) == 4
-    assert all(r["base"] for r in rows)
+    assert all(r["base"] and r["base"]["points_evaluated"] > 0 for r in rows)
 
 
 def test_fig11():

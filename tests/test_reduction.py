@@ -180,6 +180,22 @@ class TestAccuracies:
         prob = build_asp(df, F_COLOR, np.array([1.0, 1.0]), np.ones(2), 1, 1, accuracy=(0.5, 0.25))
         assert (prob.dx, prob.dy) == (0.5, 0.25)
 
+    @pytest.mark.parametrize(
+        "accuracy",
+        [(np.nan, np.nan), (0.5, np.nan), (-1, -1), (0, 0), (0.5, 0.0), (1, 2, 3), (1,), 0.5, "ab"],
+    )
+    def test_rejects_invalid_accuracy(self, accuracy):
+        """NaN, non-positive and wrong-length overrides used to be taken
+        silently (or fail unpacking, for three values)."""
+        with pytest.raises(ValueError, match="^accuracy must"):
+            build_asp(fig2_objects(), F_COLOR, np.ones(2), np.ones(2), 1, 1, accuracy=accuracy)
+
+    def test_infinite_accuracy_accepted(self):
+        prob = build_asp(
+            fig2_objects(), F_COLOR, np.ones(2), np.ones(2), 1, 1, accuracy=(np.inf, np.inf)
+        )
+        assert (prob.dx, prob.dy) == (np.inf, np.inf)
+
 
 class TestProblemHelpers:
     def test_overlapping_filters_by_open_interior(self):

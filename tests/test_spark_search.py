@@ -202,10 +202,13 @@ def test_rejects_invalid_query(spark, name):
         gi_ds_distributed(spark.createDataFrame(pdf), F, qrep, w, a, b, sx=6, sy=6)
 
 
-@pytest.mark.parametrize("name,value", [("delta", -2.0), ("a", -1.5), ("b", 0.0)])
+@pytest.mark.parametrize(
+    "name,value", [("delta", -2.0), ("a", -1.5), ("b", 0.0), ("accuracy", (0.0, 0.0))]
+)
 def test_rejects_invalid_size_or_delta(spark, name, value):
     """Checked before the index build: a negative delta stopped the scan
-    at once, and a non-positive size spawned inverted rectangles."""
+    at once, a non-positive size spawned inverted rectangles, and an
+    invalid accuracy would fail only inside the scan tasks."""
     pdf, F, qrep, w, a, b = make_inputs(4)
     kw = {"a": a, "b": b, "delta": 0.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must"):

@@ -8,7 +8,7 @@ import pytest
 from repro.core import dssearch
 from repro.core.aggregators import CompositeAggregator, dist_agg
 from repro.core.bruteforce import brute_force_asp
-from repro.core.dssearch import ds_search
+from repro.core.dssearch import SearchStats, ds_search
 from repro.core.gridindex import gi_ds
 from repro.core.reduction import build_asp
 from repro.core.sweepline import sweepline_search
@@ -112,3 +112,13 @@ def test_empty_region_candidate_included():
     d, pt = sweepline_search(prob)
     assert d == pytest.approx(0.0)
     assert not prob.covering_mask(*pt).any()
+
+
+def test_stats_count_the_kernel_work():
+    """``stats`` records Base's one full-space enumeration and the regions
+    it evaluated; the answer is the same with or without it."""
+    prob = random_prob(3)
+    stats = SearchStats()
+    assert sweepline_search(prob, stats) == sweepline_search(prob)
+    assert stats.enum_spaces == 1
+    assert stats.points_evaluated > 0
