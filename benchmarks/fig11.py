@@ -6,14 +6,14 @@ its runtime at 128x128), degrading when the index is too coarse (loose
 cell bounds) or too fine (redundant neighbouring cells). Ours: 100K
 objects. Claims: GI-DS at every granularity returns DS-Search's
 distance; at paper scale 128-GI-DS is faster than DS-Search on the
-Tweet 10q query.
+Tweet 10q query. Both are timed from the object table, each call with
+its own ``build_asp`` (DS-Search through ``asrs_search``).
 """
 from __future__ import annotations
 
 from benchmarks import SEED, TOL, call, datasets, query
-from repro.core.dssearch import ds_search
+from repro.core.dssearch import asrs_search
 from repro.core.gridindex import build_grid_index, gi_ds
-from repro.core.reduction import build_asp
 
 N = 100_000
 GRANULARITIES = (64, 128, 256)
@@ -31,7 +31,7 @@ def rows(n: int = N) -> list[dict]:
                 "dataset": name,
                 "n": n,
                 "query_size": f"{k}q",
-                "ds": call(ds_search, build_asp(pdf, F, *q)),
+                "ds": call(asrs_search, pdf, F, *q),
             }
             for g, index in indexes.items():
                 row[f"gids{g}"] = call(gi_ds, pdf, F, *q, index=index)

@@ -1,13 +1,15 @@
 """General ASRS entrypoint: run one attribute-aware similar-region query
 end-to-end with the *distributed* GI-DS dataflow (index build from one
 metadata job and one mapInPandas pass plus NumPy suffix sums, then a cell
-scan hash-partitioned over every core with mapInPandas). Cell searches measure their own GPS
-accuracies; a task-local gap is never below the global one, so the
-answer stays exact.
+scan hash-partitioned over every core with mapInPandas, each task running
+one best-first DS-Search over its cells). Each task measures the GPS
+accuracies over its own cells' objects; that gap is never below the
+global one, so the answer stays exact.
 
 Prints one JSON line: ``result`` (the answer region and its distance)
 and ``stats`` (the wall time plus the query's ``DistributedStats``:
-cells, seed distance, spaces processed, scan tasks).
+total and candidate cells, seed distance, index bytes, spaces processed,
+cells searched, scan tasks).
 
 Run: spark-submit jobs/run_asrs.py [n] [k] [delta]
 """

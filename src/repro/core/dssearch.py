@@ -68,7 +68,7 @@ import numpy as np
 
 from repro.core.distance import lower_bound, weighted_l1
 from repro.core.geometry import Space
-from repro.core.reduction import ASPProblem, check_delta
+from repro.core.reduction import ASPProblem, build_asp, check_delta
 
 #: If a space's local arrangement is small — (interior x-edges + 1) *
 #: (interior y-edges + 1) elementary cells at most this — DS-Search
@@ -777,8 +777,6 @@ def asrs_search(
     Returns ``(distance, region, stats)`` where ``region`` is the
     ``a x b`` answer region (bottom-left corner at the optimal location).
     """
-    from repro.core.reduction import build_asp
-
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
     d, (px, py), stats = ds_search(prob, ncol=ncol, nrow=nrow, delta=delta)
     return d, Space(px, px + a, py, py + b), stats

@@ -12,7 +12,9 @@ The paper's contribution is a search algorithm, not a planner rule, so
   the driver;
 - ``search``: the distributed GI-DS scan — candidate index cells are
   pruned with driver-side lower bounds, then hash-partitioned over every
-  core and searched with the DS-Search kernel inside ``mapInPandas``
-  tasks. Each search measures its own GPS accuracy; a task-local gap is
-  never below the global one, so the answer stays exact.
+  core; each ``mapInPandas`` task runs the driver GI-DS's one best-first
+  ``ds_search(roots=...)`` over its cells, seeded with the driver's
+  incumbent. Each task measures the GPS accuracy (the edge gap) over its
+  own cells' objects; that gap is never below the global one, so the
+  answer stays exact.
 """

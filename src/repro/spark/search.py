@@ -13,30 +13,25 @@ job and per-partition pass, and the per-cell scan.
 3. **Seed** (driver): run DS-Search on the single most promising cell
    (its objects fetched with one filter) to obtain an incumbent
    distance ``d_seed``.
-4. **Parallel scan** (Spark): objects are exploded to the candidate
-   cells (``cellify``) and joined with the broadcast table of surviving
-   cells. The rows are hash-partitioned by cell into
-   ``defaultParallelism`` partitions, so every core gets work; each
-   ``mapInPandas`` task loops over its cells and runs the DS-Search
-   kernel on each, seeded with ``d_seed``. Every cell search is an
-   independent, exact cell-restricted search (rectangles not
-   overlapping a cell cannot cover any of its locations — the paper's
-   locality property), so the global minimum of the cell results and
-   the seed is the exact answer.
+4. **Parallel scan** (Spark): objects, tagged with an object id, are
+   exploded to the candidate cells (``cellify``) and joined with the
+   broadcast table of surviving cells and their bounds. The rows are
+   hash-partitioned by cell into ``defaultParallelism`` partitions, so
+   every core gets work. Each ``mapInPandas`` task runs what the driver's
+   ``core.gridindex.gi_ds`` runs: one ``build_asp`` over its objects
+   (each object once, by id) and one ``ds_search(roots=...)`` over its
+   cells in ascending bound order, seeded with ``d_seed``, stopping at
+   the first bound ``>= dopt/(1+delta)``. A task's problem holds every
+   object whose rectangle overlaps one of its cells (the paper's
+   locality property), so each task is exact over its cells, and the
+   minimum of the task results and the seed is the exact answer.
 
 GPS accuracies (Definition 7): unless the caller passes ``accuracy``,
-the seed and every cell search measure their own minimum edge gap in
-``build_asp``. A subset's gap is never smaller than the global gap, and
-a larger accuracy only makes DS-Search switch earlier from splitting to
-exact in-cell enumeration (see ``core.dssearch``), so the result stays
-exact without a global pass over the data.
-
-Divergence from the sequential Algorithm 2, by design: the sequential
-scan threads a monotonically improving ``dopt`` through the cells,
-while the parallel scan fixes the seed bound for all tasks. That may
-search more cells than strictly necessary, but wall-clock parallelism
-replaces the sequential short-circuit; the result is identical (tested
-against the driver implementation and brute force).
+the seed and every scan task measure the minimum edge gap over their
+own objects in ``build_asp``. A subset's gap is never smaller than the
+global gap, and a larger accuracy only makes DS-Search switch earlier
+from splitting to exact in-cell enumeration (see ``core.dssearch``), so
+the result stays exact without a global pass over the data.
 """
 from __future__ import annotations
 
@@ -64,9 +59,11 @@ from repro.core.reduction import (
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
-_RESULT_SCHEMA = (
-    "ci long, cj long, dist double, px double, py double, spaces long, task int"
-)
+_RESULT_SCHEMA = "dist double, px double, py double, spaces long, roots long, task int"
+#: the object id column the scan adds before the explosion, so a task
+#: keeps one of the copies of an object that reaches several of its cells
+#: (and keeps equal objects apart)
+_OID = "_asrs_oid"
 
 
 def edge_accuracies(df: DataFrame, a: float, b: float) -> tuple[float, float]:
@@ -75,9 +72,10 @@ def edge_accuracies(df: DataFrame, a: float, b: float) -> tuple[float, float]:
     lag window over the sorted distinct values. (The single-partition
     window is acceptable: there are at most 2n distinct edge values.)
 
-    ``gi_ds_distributed`` does not call this: its seed and cell searches
-    measure task-local gaps, which are never smaller. Pass the result as
-    ``accuracy=`` to search with the global accuracies instead."""
+    ``gi_ds_distributed`` does not call this: its seed and scan tasks
+    measure the gaps over their own objects, which are never smaller.
+    Pass the result as ``accuracy=`` to search with the global accuracies
+    instead."""
 
     def gap(col: str, shift: float) -> float:
         edges = (
@@ -109,7 +107,9 @@ class DistributedStats:
     index_bytes: int = 0
     #: DS-Search spaces processed by the scan tasks, summed over tasks
     spaces_processed: int = 0
-    #: distinct scan partitions that searched at least one cell
+    #: candidate cells the scan tasks searched, summed over tasks
+    searched_cells: int = 0
+    #: scan partitions that received at least one candidate cell
     scan_tasks: int = 0
 
 
@@ -183,18 +183,21 @@ def gi_ds_distributed(
         return dopt, popt, stats
 
     cand_pdf = pd.DataFrame(
-        {"ci": ii[survive].astype("int64"), "cj": jj[survive].astype("int64")}
+        {"ci": ii[survive].astype("int64"), "cj": jj[survive].astype("int64"),
+         "lb": lbs[survive]}
     )
     cand_sdf = sf.broadcast(spark.createDataFrame(cand_pdf))
     mi = max(0, -int(ii.min()))
     mj = max(0, -int(jj.min()))
     exploded = explode_to_candidate_cells(
-        df, a, b, index.x0, index.y0, index.cw, index.ch, index.sx, index.sy, mi, mj
+        df.withColumn(_OID, sf.monotonically_increasing_id()),
+        a, b, index.x0, index.y0, index.cw, index.ch, index.sx, index.sy, mi, mj,
     )
     tasks = exploded.join(cand_sdf, ["ci", "cj"], "inner").repartition(
         spark.sparkContext.defaultParallelism, "ci", "cj"
     )
 
+    # locals, so the closure does not pickle the index's suffix planes
     x0, y0, cw, ch = index.x0, index.y0, index.cw, index.ch
     seed_dopt = dopt
 
@@ -202,25 +205,27 @@ def gi_ds_distributed(
         frames = list(batches)
         if not frames:
             return
-        task = TaskContext.get().partitionId()
-        rows = []
-        for (i, j), objs in pd.concat(frames).groupby(["ci", "cj"]):
-            cell = Space(x0 + i * cw, x0 + (i + 1) * cw, y0 + j * ch, y0 + (j + 1) * ch)
-            prob = build_asp(
-                objs.drop(columns=["ci", "cj"]), F, query_rep, weights, a, b,
-                accuracy=accuracy,
-            )
-            d, (px, py), st = ds_search(
-                prob, cell, ncol=ncol, nrow=nrow, delta=delta,
-                init=(seed_dopt, (np.nan, np.nan)),
-            )
-            rows.append((i, j, d, px, py, st.spaces_processed, task))
+        rows = pd.concat(frames)
+        cells = rows[["ci", "cj", "lb"]].drop_duplicates().sort_values("lb", kind="stable")
+        objs = rows.drop_duplicates(_OID).drop(columns=["ci", "cj", "lb", _OID])
+        prob = build_asp(objs, F, query_rep, weights, a, b, accuracy=accuracy)
+        roots = (
+            (lb, Space(x0 + i * cw, x0 + (i + 1) * cw, y0 + j * ch, y0 + (j + 1) * ch))
+            for i, j, lb in cells.itertuples(index=False)
+        )
+        d, (px, py), st = ds_search(
+            prob, roots=roots, ncol=ncol, nrow=nrow, delta=delta,
+            init=(seed_dopt, (np.nan, np.nan)),
+        )
         yield pd.DataFrame(
-            rows, columns=["ci", "cj", "dist", "px", "py", "spaces", "task"]
+            [(d, px, py, st.spaces_processed, st.roots_processed,
+              TaskContext.get().partitionId())],
+            columns=["dist", "px", "py", "spaces", "roots", "task"],
         )
 
     results = tasks.mapInPandas(scan, _RESULT_SCHEMA).toPandas()
     stats.spaces_processed = int(results["spaces"].sum())
+    stats.searched_cells = int(results["roots"].sum())
     stats.scan_tasks = int(results["task"].nunique())
     if len(results):
         k = int(results["dist"].idxmin())

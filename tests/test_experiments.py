@@ -90,4 +90,6 @@ def test_run_asrs_job(spark, capsys):
     assert stats["wall_ms"] > 0
     if stats["candidate_cells"]:
         assert stats["scan_tasks"] >= 1
-        assert stats["spaces_processed"] >= stats["candidate_cells"]
+        searched = stats["searched_cells"]
+        assert stats["scan_tasks"] <= searched <= stats["candidate_cells"]
+        assert searched <= stats["spaces_processed"]

@@ -92,8 +92,9 @@ class TestDistributedGIDS:
 class TestAdversarialScan:
     """The distributed scan against brute force on objects exactly on
     index-cell edges, duplicate objects, a degenerate box, a region larger
-    than the box, zero objects (every aggregator), a single object, and an
-    fA attribute with one distinct value (its scan tasks run DS-Search)."""
+    than the box, zero objects (every aggregator), a single object, an
+    fA attribute with one distinct value (its scan tasks run DS-Search),
+    and every object doubled under regions wider than two cells."""
 
     @pytest.mark.parametrize(
         "case, zoo_idx",
@@ -117,6 +118,31 @@ class TestAdversarialScan:
         assert got == pytest.approx(expected, abs=1e-8)
         assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
 
+    @pytest.mark.parametrize("zoo_idx", [0, 4])
+    def test_every_object_twice(self, spark, zoo_idx):
+        """Every object appears twice, and a region spans more than two
+        index cells per axis, so a scan task often receives one copy of
+        an object for each of its cells the object reaches. The task must
+        keep each object once (by object id): not once per cell, and not
+        once per distinct value, which would merge the twins."""
+        rng = np.random.default_rng(zoo_idx)
+        F = aggregator_zoo()[zoo_idx]
+        once = random_objects(rng, 30)
+        df = pd.concat([once, once], ignore_index=True)
+        sx = sy = 6
+        a = 2.5 * (df["x"].max() - df["x"].min()) / sx
+        b = 2.5 * (df["y"].max() - df["y"].min()) / sy
+        qrep, w = random_query(rng, F, df, a, b)
+        qrep = qrep * 0.8
+        prob = build_asp(df, F, qrep, w, a, b)
+        expected, _ = brute_force_asp(prob)
+        got, pt, stats = gi_ds_distributed(
+            spark.createDataFrame(df), F, qrep, w, a, b, sx=sx, sy=sy
+        )
+        assert stats.candidate_cells >= 2 * spark.sparkContext.defaultParallelism
+        assert got == pytest.approx(expected, abs=1e-8)
+        assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
+
 
 def split_gap_instance():
     """Lattice objects plus two off-lattice objects ``A`` and ``B`` whose
@@ -124,8 +150,8 @@ def split_gap_instance():
 
     With ``a`` and ``b`` lattice multiples every other edge gap is at
     least 0.1, so the global minimum x-gap is the ``A``/``B`` gap, while
-    on a 6x6 grid no candidate cell receives both objects: every cell
-    search measures a larger, task-local gap.
+    on a 6x6 grid no candidate cell receives both objects: a scan task
+    whose cells do not hold both measures a larger gap over its objects.
     """
     pdf = random_objects(np.random.default_rng(21), 80)
     a = b = 1.0
@@ -139,8 +165,9 @@ def split_gap_instance():
 
 
 class TestTaskLocalAccuracy:
-    """The scan measures GPS accuracies per cell search; a cell's gap is
-    never below the global one, so the answer must stay exact."""
+    """Each scan task measures the GPS accuracies (the edge gap) over its
+    own cells' objects; that gap is never below the global one, so the
+    answer must stay exact."""
 
     @pytest.mark.parametrize("f", [0, 4])
     def test_global_gap_split_across_cells(self, spark, f):
@@ -170,9 +197,10 @@ class TestTaskLocalAccuracy:
             assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
 
     def test_many_cells_per_task(self, spark):
-        """Several candidate cells per scan partition: the in-task cell
-        loop must agree with brute force and the driver GI-DS, and the
-        scan must spread over more than one task."""
+        """Several candidate cells per scan partition: each task's one
+        best-first search over its cells must agree with brute force and
+        the driver GI-DS, and the scan must spread over more than one
+        task."""
         pdf, F, qrep, w, a, b = make_inputs(2, n=240)
         sdf = spark.createDataFrame(pdf)
         expected, _ = brute_force_asp(build_asp(pdf, F, qrep, w, a, b))
@@ -184,7 +212,10 @@ class TestTaskLocalAccuracy:
         parallelism = spark.sparkContext.defaultParallelism
         assert stats.candidate_cells >= 2 * parallelism
         assert 1 < stats.scan_tasks <= parallelism
-        assert stats.spaces_processed >= stats.candidate_cells
+        # a task stops at its first cell whose bound reaches its incumbent,
+        # so it may search fewer than its cells; a searched cell is a space
+        assert stats.scan_tasks <= stats.searched_cells <= stats.candidate_cells
+        assert stats.searched_cells <= stats.spaces_processed
 
 
 @pytest.mark.parametrize("name", ["weights", "query_rep"])
