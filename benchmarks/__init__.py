@@ -22,8 +22,8 @@ SEED = 7
 #: two exact algorithms return the same distance to within this
 TOL = 1e-8
 
-#: the work counters a call's stats may carry: DS-Search's and Base's,
-#: then GI-DS's
+#: the work counters of the record a search returns (``SearchStats``):
+#: DS-Search's and Base's, then GI-DS's
 COUNTERS = (
     "spaces_processed", "enum_spaces", "points_evaluated",
     "searched_cells", "total_cells", "index_bytes",

@@ -1,6 +1,13 @@
 import os
 import sys
 
+# src importable without an install, in this process and (through
+# PYTHONPATH, read when the JVM starts them) in Spark's Python workers
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.

@@ -7,9 +7,10 @@ accuracies over its own cells' objects; that gap is never below the
 global one, so the answer stays exact.
 
 Prints one JSON line: ``result`` (the answer region and its distance)
-and ``stats`` (the wall time plus the query's ``DistributedStats``:
-total and candidate cells, seed distance, index bytes, spaces processed,
-cells searched, scan tasks).
+and ``stats`` (the wall time plus the query's ``SearchStats``: total and
+candidate cells, seed distance, index bytes, scan tasks, and the scan
+tasks' DS-Search counters summed, cells searched and spaces processed
+among them).
 
 Run: spark-submit jobs/run_asrs.py [n] [k] [delta]
 """

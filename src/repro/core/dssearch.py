@@ -83,26 +83,34 @@ DEFAULT_ENUM_POINTS = 4096
 
 @dataclass
 class SearchStats:
-    """Counters for the experiments (cells searched, drop events, ...)."""
+    """The one work record every search returns: DS-Search's counters,
+    plus the index figures GI-DS sets and the scan figures the
+    distributed GI-DS sets (left at their defaults elsewhere)."""
 
     spaces_processed: int = 0
-    #: root spaces processed: the whole space, or roots from the stream
-    roots_processed: int = 0
+    #: root spaces processed: 1 for a plain space, one per index cell
+    #: searched for GI-DS
+    searched_cells: int = 0
     cells_seen: int = 0
     clean_cells: int = 0
     dirty_pruned: int = 0
     drop_events: int = 0
     enum_spaces: int = 0
     points_evaluated: int = 0
+    #: GI-DS: candidate index cells (margins included) and index size
+    total_cells: int = 0
+    index_bytes: int = 0
+    #: distributed GI-DS: cells sent to the scan, the driver seed's
+    #: distance (its work is not counted above) and the scan tasks run
+    candidate_cells: int = 0
+    seed_dist: float = float("inf")
+    scan_tasks: int = 0
 
 
 @dataclass
 class GridResult:
     """Output of one Discretize call over a space."""
 
-    space: Space
-    ncol: int
-    nrow: int
     edges_x: np.ndarray
     edges_y: np.ndarray
     wc: float
@@ -360,9 +368,6 @@ def discretize(
         stats.cells_seen += ncol * nrow
         stats.clean_cells += int(clean.sum())
     return GridResult(
-        space=space,
-        ncol=ncol,
-        nrow=nrow,
         edges_x=edges_x,
         edges_y=edges_y,
         wc=wc,
@@ -657,7 +662,7 @@ def ds_search(
     roots and sub-spaces are popped in one best-first order and the scan
     stops at the first bound ``>= dopt/(1+delta)``; a root is drawn only
     when its bound must be compared, so at most one more root is drawn
-    than ``stats.roots_processed`` counts. A drawn root whose bound is
+    than ``stats.searched_cells`` counts. A drawn root whose bound is
     below its predecessor's raises ``ValueError``, as do both ``space``
     and ``roots``, and a negative ``delta``.
     """
@@ -666,10 +671,9 @@ def ds_search(
         raise ValueError("pass either space or roots, not both")
     stats = stats if stats is not None else SearchStats()
     space = space if space is not None else prob.space
-    out_pt = (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
-    dopt, popt = init if init is not None else (np.inf, out_pt)
+    dopt, popt = init if init is not None else (np.inf, prob.empty_pt)
     if prob.empty_dist < dopt:
-        dopt, popt = prob.empty_dist, out_pt
+        dopt, popt = prob.empty_dist, prob.empty_pt
     if prob.n == 0 or (roots is None and space.is_degenerate()):
         return dopt, popt, stats
 
@@ -694,7 +698,7 @@ def ds_search(
             break
         if lb >= dopt / (1.0 + delta):
             break
-        stats.roots_processed += is_root
+        stats.searched_cells += is_root
         key = (c.x0, c.x1, c.y0, c.y1)
         if key in seen:
             # identical sub-space already resolved (overlapping sibling

@@ -189,16 +189,6 @@ def candidate_cell_bounds(
     return ii, jj, lbs
 
 
-@dataclass
-class GIStats:
-    """Counters reported by GI-DS (Table 1 inputs)."""
-
-    searched_cells: int = 0
-    total_cells: int = 0
-    index_bytes: int = 0
-    ds: SearchStats = field(default_factory=SearchStats)
-
-
 def gi_ds(
     objects: pd.DataFrame,
     F: CompositeAggregator,
@@ -214,7 +204,7 @@ def gi_ds(
     nrow: int = 30,
     delta: float = 0.0,
     accuracy: tuple[float, float] | None = None,
-) -> tuple[float, tuple[float, float], GIStats]:
+) -> tuple[float, tuple[float, float], SearchStats]:
     """Algorithm 2 (GI-DS) / its Section-6 approximation (delta > 0).
 
     Returns ``(dopt, popt, stats)``; with ``delta == 0`` the result is
@@ -226,8 +216,7 @@ def gi_ds(
     check_delta(delta)
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
     if prob.n == 0:
-        dopt, popt, _ = ds_search(prob)
-        return dopt, popt, GIStats()
+        return ds_search(prob)
     if index is None:
         index = build_grid_index(objects, F, sx, sy)
     elif (
@@ -243,19 +232,16 @@ def gi_ds(
             "object count or grid differ from this query's"
         )
     ii, jj, lbs = candidate_cell_bounds(index, prob.query_rep, prob.weights, a, b)
-    stats = GIStats(total_cells=len(lbs), index_bytes=index.nbytes)
     # cells become roots one at a time, in bound order, as the search draws them
     roots = (
         (float(lbs[c]), index.cell_space(ii[c], jj[c]))
         for c in np.argsort(lbs, kind="stable")
     )
-    dopt, popt, _ = ds_search(
+    return ds_search(
         prob,
         roots=roots,
         ncol=ncol,
         nrow=nrow,
         delta=delta,
-        stats=stats.ds,
+        stats=SearchStats(total_cells=len(lbs), index_bytes=index.nbytes),
     )
-    stats.searched_cells = stats.ds.roots_processed
-    return dopt, popt, stats

@@ -121,6 +121,12 @@ class ASPProblem:
     def n(self) -> int:
         return len(self.x_lo)
 
+    @property
+    def empty_pt(self) -> tuple[float, float]:
+        """A location of the empty-region candidate: beyond the top-right
+        of the space, so its region holds no object."""
+        return (self.space.x1 + self.a + 1.0, self.space.y1 + self.b + 1.0)
+
     def overlapping(self, s: Space) -> np.ndarray:
         """Indices of rectangles whose open interior overlaps space ``s``."""
         m = (

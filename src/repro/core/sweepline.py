@@ -34,5 +34,5 @@ def sweepline_search(
     """
     d, pt = enumerate_space(prob, prob.space, stats)
     if prob.empty_dist < d:
-        return prob.empty_dist, (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
+        return prob.empty_dist, prob.empty_pt
     return d, pt

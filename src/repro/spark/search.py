@@ -24,7 +24,9 @@ job and per-partition pass, and the per-cell scan.
    the first bound ``>= dopt/(1+delta)``. A task's problem holds every
    object whose rectangle overlaps one of its cells (the paper's
    locality property), so each task is exact over its cells, and the
-   minimum of the task results and the seed is the exact answer.
+   minimum of the task results and the seed is the exact answer. Each
+   task returns its answer with its DS-Search counters, which the driver
+   sums into the query's ``SearchStats``.
 
 GPS accuracies (Definition 7): unless the caller passes ``accuracy``,
 the seed and every scan task measure the minimum edge gap over their
@@ -36,17 +38,16 @@ the result stays exact without a global pass over the data.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 import pandas as pd
-from pyspark import TaskContext
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as sf
 
 from repro.core.aggregators import CompositeAggregator
 from repro.core.distance import weighted_l1
-from repro.core.dssearch import ds_search
+from repro.core.dssearch import SearchStats, ds_search
 from repro.core.geometry import Space
 from repro.core.gridindex import candidate_cell_bounds
 from repro.core.reduction import (
@@ -59,7 +60,13 @@ from repro.core.reduction import (
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
-_RESULT_SCHEMA = "dist double, px double, py double, spaces long, roots long, task int"
+#: the record's integer fields, returned by each scan task next to its
+#: answer and summed by the driver (the index and scan figures are the
+#: driver's, so a task's are 0)
+_COUNTERS = tuple(f.name for f in fields(SearchStats) if isinstance(f.default, int))
+_RESULT_SCHEMA = ", ".join(
+    ["dist double", "px double", "py double"] + [f"{c} long" for c in _COUNTERS]
+)
 #: the object id column the scan adds before the explosion, so a task
 #: keeps one of the copies of an object that reaches several of its cells
 #: (and keeps equal objects apart)
@@ -96,23 +103,6 @@ def edge_accuracies(df: DataFrame, a: float, b: float) -> tuple[float, float]:
     return gap("x", a), gap("y", b)
 
 
-@dataclass
-class DistributedStats:
-    """Counters for the distributed scan: driver-side, plus per-task
-    counters summed over the scan tasks."""
-
-    total_cells: int = 0
-    candidate_cells: int = 0
-    seed_dist: float = float("inf")
-    index_bytes: int = 0
-    #: DS-Search spaces processed by the scan tasks, summed over tasks
-    spaces_processed: int = 0
-    #: candidate cells the scan tasks searched, summed over tasks
-    searched_cells: int = 0
-    #: scan partitions that received at least one candidate cell
-    scan_tasks: int = 0
-
-
 def gi_ds_distributed(
     df: DataFrame,
     F: CompositeAggregator,
@@ -127,9 +117,10 @@ def gi_ds_distributed(
     nrow: int = 30,
     delta: float = 0.0,
     accuracy: tuple[float, float] | None = None,
-) -> tuple[float, tuple[float, float], DistributedStats]:
+) -> tuple[float, tuple[float, float], SearchStats]:
     """Exact (or, with ``delta > 0``, (1+delta)-approximate) ASRS over a
-    Spark DataFrame of objects. Returns ``(dopt, popt, stats)``.
+    Spark DataFrame of objects. Returns ``(dopt, popt, stats)``; the DS
+    counters of ``stats`` are the scan tasks' sums, without the seed's.
 
     ``accuracy`` fixes the GPS accuracies ``(dx, dy)`` of every search;
     by default each search measures its own (see the module docstring).
@@ -151,7 +142,7 @@ def gi_ds_distributed(
     empty_dist = float(weighted_l1(index.prepared.empty_rep(), query_rep, weights))
     far_pt = (index.x0 + (index.sx + 1) * index.cw + a, index.y0 + (index.sy + 1) * index.ch + b)
     dopt, popt = empty_dist, far_pt
-    stats = DistributedStats(total_cells=len(lbs), index_bytes=index.nbytes)
+    stats = SearchStats(total_cells=len(lbs), index_bytes=index.nbytes)
 
     def fetch_cell_objects(cell: Space) -> pd.DataFrame:
         cond = (
@@ -218,15 +209,16 @@ def gi_ds_distributed(
             init=(seed_dopt, (np.nan, np.nan)),
         )
         yield pd.DataFrame(
-            [(d, px, py, st.spaces_processed, st.roots_processed,
-              TaskContext.get().partitionId())],
-            columns=["dist", "px", "py", "spaces", "roots", "task"],
+            [(d, px, py, *(getattr(st, c) for c in _COUNTERS))],
+            columns=["dist", "px", "py", *_COUNTERS],
         )
 
+    # mapInPandas calls scan once per partition; it yields one row for a
+    # partition with cells and none for an empty one
     results = tasks.mapInPandas(scan, _RESULT_SCHEMA).toPandas()
-    stats.spaces_processed = int(results["spaces"].sum())
-    stats.searched_cells = int(results["roots"].sum())
-    stats.scan_tasks = int(results["task"].nunique())
+    for c in _COUNTERS:
+        setattr(stats, c, getattr(stats, c) + int(results[c].sum()))
+    stats.scan_tasks = len(results)
     if len(results):
         k = int(results["dist"].idxmin())
         if results.loc[k, "dist"] < dopt:

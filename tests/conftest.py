@@ -92,6 +92,19 @@ def random_query(rng: np.random.Generator, F: CompositeAggregator, objects: pd.D
     return qrep, w
 
 
+def tweet_query() -> tuple:
+    """``(objects, F, query_rep, weights, a, b)``: a seeded 1000-object
+    Tweet table with F1 and its 1q query. With an 8 x 8 index its cells
+    hold more rectangle edges than ``DEFAULT_ENUM_POINTS`` resolves
+    outright, so GI-DS discretizes (``cells_seen > 0``)."""
+    from repro.synth_data import tweets_pdf
+    from repro.workloads import f1_aggregator, f1_query, query_size
+
+    pdf = tweets_pdf(1000, 7)
+    a, b = query_size(pdf, 1.0)
+    return (pdf, f1_aggregator(), *f1_query(pdf, a, b), a, b)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -47,6 +47,12 @@ def test_fig12():
     fig12.check(rows)
     assert len(rows) == 6  # 2 aggregators x 3 cardinalities
     assert all(r[f"delta{d}"]["s"] > 0 for r in rows for d in fig12.DELTAS)
+    # GI-DS rows carry the DS counters of their one search
+    for r in rows:
+        for d in fig12.DELTAS:
+            c = r[f"delta{d}"]
+            assert "points_evaluated" in c, c
+            assert c["spaces_processed"] >= c["searched_cells"] > 0, c
 
 
 def test_fig13():
@@ -61,6 +67,8 @@ def test_table1():
     table1.check(rows)
     assert len(rows) == 12  # 3 granularities x 4 query sizes
     assert all(0 < r["gids"]["searched_cells"] <= r["gids"]["total_cells"] for r in rows)
+    assert all("points_evaluated" in r["gids"] for r in rows)
+    assert all(r["gids"]["spaces_processed"] >= r["gids"]["searched_cells"] for r in rows)
 
 
 def test_table2():

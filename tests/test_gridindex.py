@@ -25,6 +25,7 @@ from tests.conftest import (
     aggregator_zoo,
     random_objects,
     random_query,
+    tweet_query,
 )
 
 
@@ -177,6 +178,15 @@ class TestGIDS:
         assert 0 < stats.searched_cells <= stats.total_cells
         assert stats.index_bytes > 0
 
+    def test_stats_carry_ds_counters(self):
+        """GI-DS returns its one DS-Search's counters in the same record
+        as its index figures: every searched cell is a processed space."""
+        df, F, qrep, w, a, b = tweet_query()
+        _, _, stats = gi_ds(df, F, qrep, w, a, b, sx=8, sy=8)
+        assert stats.spaces_processed >= stats.searched_cells > 0
+        assert stats.cells_seen > 0
+        assert stats.points_evaluated > 0
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("delta", [0.1, 0.4])
     def test_app_gids_guarantee(self, seed, delta):
@@ -200,7 +210,7 @@ def per_cell_gi_ds(df, F, qrep, w, a, b, sx, sy):
     shared-heap scan)."""
     prob = build_asp(df, F, qrep, w, a, b)
     dopt = prob.empty_dist
-    popt = (prob.space.x1 + a + 1.0, prob.space.y1 + b + 1.0)
+    popt = prob.empty_pt
     index = build_grid_index(df, F, sx, sy)
     ii, jj, lbs = candidate_cell_bounds(index, prob.query_rep, prob.weights, a, b)
     for c in np.argsort(lbs, kind="stable"):

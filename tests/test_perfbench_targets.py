@@ -18,8 +18,8 @@ import numpy as np
 from repro.core.dssearch import SearchStats, ds_search
 from repro.core.gridindex import gi_ds
 from repro.core.reduction import build_asp
-from repro.spark.search import DistributedStats
-from tests.conftest import aggregator_zoo, random_objects, random_query
+from repro.spark.search import gi_ds_distributed
+from tests.conftest import aggregator_zoo, random_objects, random_query, tweet_query
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -67,6 +67,12 @@ def test_ds_search_counter_hook():
     assert hook(ds_search(prob, stats=shared)) == counts
 
 
-def test_distributed_counter_hook():
-    counts = layers._candidate_cells((), {})((0.0, (0.0, 0.0), DistributedStats()))
-    assert counts == {"search.candidate_cells": 0}
+def test_distributed_counter_hook(spark):
+    pdf, F, qrep, w, a, b = tweet_query()
+    out = gi_ds_distributed(spark.createDataFrame(pdf), F, qrep, w, a, b, sx=8, sy=8)
+    counts = layers._candidate_cells((), {})(out)
+    assert counts == {"search.candidate_cells": out[2].candidate_cells}
+    assert out[2].candidate_cells > 0
+    # the same record carries every DS counter the search hook reads
+    ds_counts = layers._search_stats((), {})(out)
+    assert ds_counts["dssearch.cells_seen"] == out[2].cells_seen > 0

@@ -15,7 +15,13 @@ from repro.core.geometry import Space
 from repro.core.gridindex import gi_ds
 from repro.core.reduction import build_asp, min_gap, query_representation
 from repro.spark.search import edge_accuracies, gi_ds_distributed
-from tests.conftest import adversarial_objects, aggregator_zoo, random_objects, random_query
+from tests.conftest import (
+    adversarial_objects,
+    aggregator_zoo,
+    random_objects,
+    random_query,
+    tweet_query,
+)
 
 
 def make_inputs(seed, n=60):
@@ -78,6 +84,21 @@ class TestDistributedGIDS:
         assert stats.total_cells > 36  # margins included
         assert stats.index_bytes > 0
         assert np.isfinite(stats.seed_dist)
+
+    def test_stats_carry_task_counters(self, spark):
+        """The scan tasks' DS counters reach the driver's record, summed
+        over the tasks."""
+        pdf, F, qrep, w, a, b = tweet_query()
+        d_driver, _, _ = gi_ds(pdf, F, qrep, w, a, b, sx=8, sy=8)
+        got, _, stats = gi_ds_distributed(
+            spark.createDataFrame(pdf), F, qrep, w, a, b, sx=8, sy=8
+        )
+        assert got == pytest.approx(d_driver, abs=1e-8)
+        assert stats.candidate_cells > 0
+        assert stats.scan_tasks <= stats.searched_cells <= stats.candidate_cells
+        assert stats.spaces_processed >= stats.searched_cells
+        assert stats.cells_seen > 0
+        assert stats.points_evaluated > 0
 
     def test_accuracy_override(self, spark):
         pdf, F, qrep, w, a, b = make_inputs(6)
