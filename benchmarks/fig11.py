@@ -6,8 +6,10 @@ its runtime at 128x128), degrading when the index is too coarse (loose
 cell bounds) or too fine (redundant neighbouring cells). Ours: 100K
 objects. Claims: GI-DS at every granularity returns DS-Search's
 distance; at paper scale 128-GI-DS is faster than DS-Search on the
-Tweet 10q query. Both are timed from the object table, each call with
-its own ``build_asp`` (DS-Search through ``asrs_search``).
+Tweet 10q query. Both are timed from the object table: DS-Search builds
+its problem per call (``build_asp`` through ``asrs_search``), while
+GI-DS reuses the objects its index prepared at build time (after an
+exact check), as a query over a prebuilt index does.
 """
 from __future__ import annotations
 

@@ -267,6 +267,12 @@ class CompositeAggregator:
 
     specs: tuple[AggregatorSpec, ...]
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The object columns the specs read (attributes and selection
+        attributes), sorted."""
+        return tuple(sorted({a for s in self.specs for a in (s.attr, s.gamma.attr) if a}))
+
     def bind(self, df: pd.DataFrame) -> list[PreparedSpec]:
         """Bind each spec to an object table: its fD domain (when the spec
         has none, the sorted distinct values of ``df``), or the
@@ -312,4 +318,6 @@ def channel_weights(specs: Sequence[PreparedSpec], df: pd.DataFrame) -> np.ndarr
                 buckets = bucket_indicators(vals, gmask, ps.amin, ps.amax)
                 w = np.concatenate([np.stack([gmask, pos, neg], axis=1), buckets], axis=1)
         blocks.append(w)
+    if len(blocks) == 1:
+        return blocks[0]  # no copy of a one-spec F's weights
     return np.concatenate(blocks, axis=1) if blocks else np.zeros((len(df), 0))

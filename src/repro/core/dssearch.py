@@ -56,6 +56,14 @@ edges evaluates every one of them in one scatter, no loop. Only Base's
 full space, with millions of cells but few rectangles active per column,
 keeps a column loop, which sorts the space's y-events once; each column
 takes its active rectangles' events from that order.
+
+``ds_search`` skips work no decision reads. A space's rectangles are one
+binary-searched slice of the x-sorted rectangles plus a y-filter
+(``ASPProblem.overlapping``), or its parent's set filtered. Its interior
+edges are sorted only when a sample of its rectangles cannot show the
+arrangement above ``DEFAULT_ENUM_POINTS`` on both axes
+(``_sample_exceeds_budget``); and the GPS accuracies are measured only
+when the drop condition could fire (``ASPProblem.at_drop_scale``).
 """
 from __future__ import annotations
 
@@ -321,14 +329,12 @@ def discretize(
     # rectangles in one x-group and one y-group share all three boxes
     keys, gid = _compact(gx * ny + gy, nx * ny)
     kx, ky = np.divmod(keys, ny)
-    # the channel weights plus a count channel, summed per group by one
+    # the channel weights and their count channel, summed per group by one
     # bincount; the count channel is the group size, so it stays exact
-    C = prob.prepared.n_channels + 1
-    Wext = np.empty((len(idx), C))
-    Wext[:, :-1] = prob.prepared.weights[idx]
-    Wext[:, -1] = 1.0
+    W = prob.data.W[idx]
+    C = W.shape[1]
     bins = (gid * C)[:, None] + np.arange(C)
-    G = np.bincount(bins.reshape(-1), weights=Wext.reshape(-1), minlength=len(keys) * C)
+    G = np.bincount(bins.reshape(-1), weights=W.reshape(-1), minlength=len(keys) * C)
     cover, full, center = _accum_planes(
         [(i0[kx], i1[kx], j0[ky], j1[ky]) for (i0, i1), (j0, j1) in zip(bx, by)],
         G.reshape(-1, C),
@@ -466,6 +472,32 @@ def interior_edges(
     return (
         _interior(prob.x_lo[idx], prob.x_hi[idx], space.x0, space.x1),
         _interior(prob.y_lo[idx], prob.y_hi[idx], space.y0, space.y1),
+    )
+
+
+#: rectangles in the strided sample ``_sample_exceeds_budget`` takes
+_EDGE_SAMPLE = 256
+
+
+def _sample_exceeds_budget(prob: ASPProblem, space: Space, idx: np.ndarray) -> bool:
+    """Whether a strided sample of at most ``_EDGE_SAMPLE`` of the
+    rectangles ``idx`` already has ``k = max(3, ceil(sqrt(
+    DEFAULT_ENUM_POINTS)))`` distinct interior edges on each axis.
+
+    The sample's interior edges are a subset of the space's, so then
+    ``ex, ey >= k``: ``(ex + 1) * (ey + 1)`` exceeds the budget and
+    neither axis is a sliver (``<= 2`` edges), and ``ds_search`` takes the
+    branch it would take after sorting all of the space's edges. It
+    skips that sort. ``False`` decides nothing: the edges are sorted.
+    """
+    k = max(3, int(np.ceil(np.sqrt(DEFAULT_ENUM_POINTS))))
+    s = idx[:: -(-len(idx) // _EDGE_SAMPLE) or 1]
+    return 2 * len(s) >= k and all(  # each rectangle has two ends per axis
+        len(_interior(lo[s], hi[s], v0, v1)) >= k
+        for lo, hi, v0, v1 in (
+            (prob.x_lo, prob.x_hi, space.x0, space.x1),
+            (prob.y_lo, prob.y_hi, space.y0, space.y1),
+        )
     )
 
 
@@ -711,8 +743,10 @@ def ds_search(
         idx = prob.overlapping(c) if parent_idx is None else _within(prob, c, parent_idx)
         ex = ey = -1
         # a zero budget also keeps ex = ey = -1: the sliver recursion below
-        # ends only through this budget, so it must be off with it
-        if DEFAULT_ENUM_POINTS:
+        # ends only through this budget, so it must be off with it. Both
+        # are -1 as well when a sample shows the arrangement too large on
+        # both axes, which then takes the same 2-D Discretize branch.
+        if DEFAULT_ENUM_POINTS and not _sample_exceeds_budget(prob, c, idx):
             edges = interior_edges(prob, c, idx)
             ex, ey = len(edges[0]), len(edges[1])
             # resolve exactly, one scatter over the arrangement's cells,
@@ -740,7 +774,7 @@ def ds_search(
         stats.dirty_pruned += int((~keep).sum())
         if not keep.any():
             continue
-        if 2.0 * grid.wc < prob.dx and 2.0 * grid.hc < prob.dy:
+        if prob.at_drop_scale(grid.wc, grid.hc):
             # drop condition: resolve surviving dirty cells exactly
             stats.drop_events += 1
             order = np.argsort(grid.dirty_lb[keep])

@@ -7,7 +7,10 @@ the equivalent dense form — per-channel 2-D suffix sums — so the
 per-value object count (or value sum) of any axis-aligned block of
 cells comes from four lookups (Lemma 8). The summaries are channelised
 exactly like Discretize (see aggregators.py), so the same bound code
-serves both.
+serves both. The index is built from the objects prepared for ``F``
+(``reduction.Dataset``: x-sorted coordinates and channel weights) and
+keeps them, so a query over the same objects reuses them, after an exact
+check, instead of preparing its own (``gi_ds``).
 
 At query time every candidate cell (bottom-left corners of candidate
 regions) gets a distance lower bound from the *bounded region* (cells
@@ -21,7 +24,9 @@ open cell's and sub-space's. The answer is the same; less is searched.
 Because candidate corners extend up to
 ``(a, b)`` beyond the object bbox on the low side, *margin cells* are
 appended at query time so the search stays exact; their summaries fall
-out of the same suffix tables (clipped index ranges).
+out of the same suffix tables (clipped index ranges). The candidate
+cells form a meshgrid, so the tables are gathered per axis, not per cell
+(``candidate_cell_bounds``).
 
 ``delta > 0`` gives app-GIDS (Section 6): the scan stops once the best
 unsearched cell or sub-space bound reaches ``dopt / (1 + delta)``.
@@ -37,7 +42,7 @@ from repro.core.aggregators import CompositeAggregator, Prepared
 from repro.core.distance import lower_bound
 from repro.core.dssearch import SearchStats, ds_search
 from repro.core.geometry import Space
-from repro.core.reduction import ASPProblem, build_asp, check_delta
+from repro.core.reduction import Dataset, build_asp, check_delta, prepare_objects
 
 
 @dataclass
@@ -54,6 +59,9 @@ class GridIndex:
     #: plain object count. suffix[c, i, j] = sum over cells [i..sx) x [j..sy).
     suffix: np.ndarray = field(repr=False)
     prepared: Prepared = field(repr=False)
+    #: the objects prepared for F, which every query over them reuses;
+    #: None for the Spark-built index, which keeps the summaries only
+    data: Dataset | None = field(default=None, repr=False)
 
     def cell_space(self, i: int, j: int) -> Space:
         """Candidate corners of index cell ``(i, j)``; negative ``i``/``j``
@@ -135,18 +143,40 @@ def cell_ids(
 def build_grid_index(
     objects: pd.DataFrame, F: CompositeAggregator, sx: int, sy: int
 ) -> GridIndex:
-    """Build the index: bucket objects into cells, accumulate channel
-    planes, and take 2-D suffix sums (the dense attribute summaries)."""
-    x = objects["x"].to_numpy(dtype=np.float64)
-    y = objects["y"].to_numpy(dtype=np.float64)
+    """Build the index: prepare the objects for ``F`` once
+    (``reduction.prepare_objects``), then ``index_dataset``."""
+    return index_dataset(prepare_objects(objects, F), sx, sy)
+
+
+def index_dataset(data: Dataset, sx: int, sy: int) -> GridIndex:
+    """The index over prepared objects: bucket them into cells, accumulate
+    channel planes, and take 2-D suffix sums (the dense attribute
+    summaries). The index keeps ``data`` for its queries."""
+    x, y = data.x, data.y
     x0, y0, cw, ch = grid_frame(x.min(), x.max(), y.min(), y.max(), sx, sy)
     ci, cj = cell_ids(x, y, x0, y0, cw, ch, sx, sy)
-    prepared = F.prepare(objects)
-    W = np.concatenate([prepared.weights, np.ones((len(x), 1))], axis=1)
-    suffix = suffix_summaries(ci, cj, W, sx, sy)
+    suffix = suffix_summaries(ci, cj, data.W, sx, sy)
     return GridIndex(
-        sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=ch, suffix=suffix, prepared=prepared
+        sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=ch, suffix=suffix,
+        prepared=data.prepared, data=data,
     )
+
+
+def _block_sums(
+    T: np.ndarray, i0: np.ndarray, i1: np.ndarray, j0: np.ndarray, j1: np.ndarray
+) -> np.ndarray:
+    """``region_sums`` over the outer product of the x-blocks ``[i0, i1)``
+    and the y-blocks ``[j0, j1)`` (1-D each), without the count channel:
+    shape ``(len(i0) * len(j0), C)``, x-block major. Each axis is gathered
+    once with ``take``; the four terms add in ``region_sums``'s order, so
+    the sums are bit-identical to it."""
+    R0, R1 = T[:-1].take(i0, axis=1), T[:-1].take(i1, axis=1)
+    s = R0.take(j0, axis=2) - R1.take(j0, axis=2) - R0.take(j1, axis=2) + R1.take(j1, axis=2)
+    s = np.moveaxis(s, 0, -1)
+    empty = (i0 >= i1)[:, None] | (j0 >= j1)[None, :]
+    if empty.any():
+        s = np.where(empty[..., None], 0.0, s)
+    return s.reshape(-1, s.shape[-1])
 
 
 def candidate_cell_bounds(
@@ -170,23 +200,17 @@ def candidate_cell_bounds(
     m_in_y = int(np.floor(b / index.ch + eps))
     mi = int(np.ceil(a / index.cw - eps))
     mj = int(np.ceil(b / index.ch - eps))
-    ii, jj = np.meshgrid(
-        np.arange(-mi, index.sx), np.arange(-mj, index.sy), indexing="ij"
-    )
-    ii, jj = ii.ravel(), jj.ravel()
-    kb0 = np.clip(ii, 0, index.sx)
-    kb1 = np.clip(ii + m_cov_x, 0, index.sx)
-    lb0 = np.clip(jj, 0, index.sy)
-    lb1 = np.clip(jj + m_cov_y, 0, index.sy)
-    kf0 = np.clip(ii + 1, 0, index.sx)
-    kf1 = np.clip(ii + m_in_x, 0, index.sx)
-    lf0 = np.clip(jj + 1, 0, index.sy)
-    lf1 = np.clip(jj + m_in_y, 0, index.sy)
-    cover = index.region_sums(kb0, kb1, lb0, lb1)[..., :-1]
-    full = index.region_sums(kf0, kf1, lf0, lf1)[..., :-1]
+    # the candidate cells form a meshgrid, so each block bound is a
+    # function of one axis: gather per axis, not per cell
+    i, j = np.arange(-mi, index.sx), np.arange(-mj, index.sy)
+    xb = np.clip([i, i + m_cov_x, i + 1, i + m_in_x], 0, index.sx)
+    yb = np.clip([j, j + m_cov_y, j + 1, j + m_in_y], 0, index.sy)
+    cover = _block_sums(index.suffix, xb[0], xb[1], yb[0], yb[1])
+    full = _block_sums(index.suffix, xb[2], xb[3], yb[2], yb[3])
     v_lo, v_hi = index.prepared.bounds_from_sums(full, cover)
     lbs = lower_bound(v_lo, v_hi, np.asarray(query_rep), np.asarray(weights))
-    return ii, jj, lbs
+    ii, jj = np.meshgrid(i, j, indexing="ij")
+    return ii.ravel(), jj.ravel(), lbs
 
 
 def gi_ds(
@@ -210,27 +234,27 @@ def gi_ds(
     Returns ``(dopt, popt, stats)``; with ``delta == 0`` the result is
     exact and equals plain DS-Search. An empty ``objects`` table yields
     the empty-region candidate, as DS-Search does. A negative ``delta``
-    raises ``ValueError``, and so does an ``index`` built for another
-    ``F`` or other objects.
+    raises ``ValueError``.
+
+    Without ``index``, the objects are prepared once, for the problem and
+    the index. With ``index``, the query reuses the index's prepared
+    objects after an exact check (``Dataset.matches``): an index built
+    for another ``F`` or other objects, or other attribute values, raises
+    ``ValueError``, as does one without prepared objects (Spark-built).
     """
     check_delta(delta)
-    prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
-    if prob.n == 0:
-        return ds_search(prob)
     if index is None:
-        index = build_grid_index(objects, F, sx, sy)
-    elif (
-        [ps.spec for ps in index.prepared.specs] != list(F.specs)
-        or index.suffix[-1, 0, 0] != prob.n
-        or grid_frame(
-            prob.x_hi.min(), prob.x_hi.max(), prob.y_hi.min(), prob.y_hi.max(),
-            index.sx, index.sy,
-        ) != (index.x0, index.y0, index.cw, index.ch)
-    ):
+        prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
+        if prob.n == 0:
+            return ds_search(prob)
+        index = index_dataset(prob.data, sx, sy)
+    elif index.data is None or not index.data.matches(objects, F):
         raise ValueError(
             "index was built for another F or other objects: its specs, "
-            "object count or grid differ from this query's"
+            "coordinates or attribute values differ from this query's"
         )
+    else:
+        prob = index.data.problem(query_rep, weights, a, b, accuracy=accuracy)
     ii, jj, lbs = candidate_cell_bounds(index, prob.query_rep, prob.weights, a, b)
     # cells become roots one at a time, in bound order, as the search draws them
     roots = (

@@ -30,7 +30,8 @@ job and per-partition pass, and the per-cell scan.
 
 GPS accuracies (Definition 7): unless the caller passes ``accuracy``,
 the seed and every scan task measure the minimum edge gap over their
-own objects in ``build_asp``. A subset's gap is never smaller than the
+own objects, when their drop condition first needs it (see
+``core.reduction``). A subset's gap is never smaller than the
 global gap, and a larger accuracy only makes DS-Search switch earlier
 from splitting to exact in-cell enumeration (see ``core.dssearch``), so
 the result stays exact without a global pass over the data.

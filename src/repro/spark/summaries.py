@@ -86,7 +86,6 @@ def build_grid_index_spark(
     x0, y0, cw, ch = grid_frame(x0, x1, y0, y1, sx, sy)
     n_ch = sum(ps.n_channels for ps in specs) + 1  # the plain count last
     schema = ", ".join(["ci long", "cj long"] + [f"ch_{k} double" for k in range(n_ch)])
-    cols = {"x", "y"} | {a for ps in specs for a in (ps.spec.attr, ps.spec.gamma.attr) if a}
 
     def cell_totals(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
@@ -103,7 +102,7 @@ def build_grid_index_spark(
                 | {f"ch_{k}": c for k, c in enumerate(sums)}
             )
 
-    totals = df.select(*sorted(cols)).mapInPandas(cell_totals, schema).toPandas()
+    totals = df.select(*sorted({"x", "y", *F.columns})).mapInPandas(cell_totals, schema).toPandas()
     suffix = suffix_summaries(
         totals["ci"].to_numpy(dtype=np.int64),
         totals["cj"].to_numpy(dtype=np.int64),

@@ -21,7 +21,7 @@ from repro.core.dssearch import (
     split,
 )
 from repro.core.geometry import Space
-from repro.core.reduction import build_asp
+from repro.core.reduction import build_asp, min_gap
 from tests.conftest import aggregator_zoo, random_objects, random_query
 
 
@@ -323,6 +323,92 @@ class TestDropAndTermination:
         no_enum_guard(monkeypatch)
         got, _, _ = ds_search(prob)
         assert got == pytest.approx(expected, abs=1e-8)
+
+
+def drop_instances():
+    """``TestDropAndTermination``'s instances, with measured accuracies:
+    ``(objects, F, query_rep, weights, a, b)``."""
+    df = random_objects(np.random.default_rng(5), 25)
+    aligned = pd.DataFrame(
+        {"x": np.tile([1.0, 2.0], 10), "y": np.repeat([1.0, 2.0], 10),
+         "color": ["red", "blue"] * 10, "val": np.ones(20)}
+    )
+    F2 = CompositeAggregator((dist_agg("color", domain=("red", "blue")),))
+    tiny = pd.DataFrame({"x": [1.0, 1.5], "y": [1.0, 1.2],
+                         "color": ["red", "blue"], "val": [1.0, 1.0]})
+    return [
+        (df, aggregator_zoo()[0], np.array([1.5, 0.5, 0.5]), np.ones(3), 1.5, 1.5),
+        (aligned, F2, np.array([5.0, 5.0]), np.ones(2), 0.7, 0.7),
+        (tiny, F2, np.array([1.0, 1.0]), np.ones(2), 1.0, 1.0),
+    ]
+
+
+class TestSkippedWork:
+    """The accuracies are measured only when the drop condition could
+    fire, and a space's edges are sorted only when a sample cannot show
+    the arrangement too large: neither changes a decision."""
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_explicit_accuracy_same_search(self, k, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(dssearch, "DEFAULT_ENUM_POINTS", budget)
+        df, F, q, w, a, b = drop_instances()[k]
+        measured = build_asp(df, F, q, w, a, b)
+        acc = (measured.dx, measured.dy)
+        d1, p1, s1 = ds_search(build_asp(df, F, q, w, a, b))
+        d2, p2, s2 = ds_search(build_asp(df, F, q, w, a, b, accuracy=acc))
+        assert (d1, p1, s1) == (d2, p2, s2)
+
+    def test_accuracies_measured_on_first_need(self, monkeypatch):
+        """The drop condition measures them once, only below the x gap."""
+        df, F, q, w, a, b = drop_instances()[0]
+        no_enum_guard(monkeypatch)
+        prob = build_asp(df, F, q, w, a, b)
+        assert prob.accuracy is None
+        assert not prob.at_drop_scale(prob.data.x_gap / 2, 0.0)
+        assert prob.accuracy is None
+        _, _, stats = ds_search(prob)
+        assert stats.drop_events > 0
+        x, y = df["x"].to_numpy(), df["y"].to_numpy()
+        assert prob.accuracy == (min_gap(np.r_[x - a, x]), min_gap(np.r_[y - b, y]))
+
+    @staticmethod
+    def sampled_instance(case):
+        rng = np.random.default_rng(11)
+        if case == "lattice":
+            df, scale = random_objects(rng, 2000, lattice=0.02, span=8.0), 0.8
+        elif case == "duplicates":
+            df = random_objects(rng, 700, lattice=0.02, span=8.0)
+            df, scale = pd.concat([df] * 3, ignore_index=True), 0.8
+        else:  # a 10,000-rectangle sliver: x takes 2 values
+            df = random_objects(rng, 10_000, lattice=1e-4, span=8.0)
+            df, scale = df.assign(x=np.where(rng.random(len(df)) < 0.5, 3.0, 3.5)), 1.0
+        F = aggregator_zoo()[0]
+        q, w = random_query(rng, F, df, 1.0, 1.0)
+        return build_asp(df, F, q * scale, w, 1.0, 1.0)
+
+    @pytest.mark.parametrize("case", ["lattice", "duplicates", "sliver"])
+    def test_sampled_size_test_same_branch(self, case, monkeypatch):
+        """Forcing the sort on every space changes no counter and no
+        answer; the sample skips it somewhere on the lattice instances,
+        and never on the sliver, whose x-edges are few."""
+        prob = self.sampled_instance(case)
+        decisions, real = [], dssearch._sample_exceeds_budget
+
+        def recorded(*args):
+            decisions.append(real(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(dssearch, "_sample_exceeds_budget", recorded)
+        d1, p1, s1 = ds_search(prob)
+        monkeypatch.setattr(dssearch, "_sample_exceeds_budget", lambda *args: False)
+        d2, p2, s2 = ds_search(prob)
+        assert (d1, p1) == (d2, p2)
+        assert s1.enum_spaces > 0 and s1.cells_seen > 0  # both branches taken
+        for f in ("spaces_processed", "enum_spaces", "drop_events", "cells_seen"):
+            assert getattr(s1, f) == getattr(s2, f), f
+        assert any(decisions) == (case != "sliver")
 
 
 class TestAsrsWrapper:

@@ -6,9 +6,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import gridindex
+from repro.core import gridindex, reduction
 from repro.core.aggregators import CompositeAggregator, Selection, dist_agg, sum_agg
 from repro.core.bruteforce import brute_force_asp
+from repro.core.distance import lower_bound
 from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
 from repro.core.gridindex import (
@@ -19,6 +20,8 @@ from repro.core.gridindex import (
     gi_ds,
 )
 from repro.core.reduction import build_asp
+from repro.synth_data import tweets_pdf
+from repro.workloads import f1_aggregator, f1_query, query_size
 from tests.conftest import (
     COLORS,
     adversarial_objects,
@@ -118,6 +121,43 @@ class TestCandidateCellBounds:
                 py = rng.uniform(cy0, cy0 + idxg.ch)
                 assert lbs[c] <= prob.point_dist(px, py) + 1e-7
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scale", [1.0, 12.0])
+    def test_outer_gathers_equal_per_cell_lookups(self, seed, scale):
+        """The bounds gathered per axis equal those of four
+        ``region_sums`` lookups per cell, bit for bit, margin cells
+        included, with ``a``, ``b`` up to larger than the box."""
+        df, F, qrep, w, a, b = make_inputs(seed, zoo_idx=seed)
+        a, b = a * scale, b * scale
+        idxg = build_grid_index(df, F, 7, 5)
+        ii, jj, lbs = candidate_cell_bounds(idxg, qrep, w, a, b)
+        eps = 1e-12
+        mi = int(np.ceil(a / idxg.cw - eps))
+        mj = int(np.ceil(b / idxg.ch - eps))
+        ei, ej = np.meshgrid(np.arange(-mi, idxg.sx), np.arange(-mj, idxg.sy), indexing="ij")
+        ei, ej = ei.ravel(), ej.ravel()
+        cx, cy = np.clip(ei, 0, idxg.sx), np.clip(ej, 0, idxg.sy)
+
+        def clip_x(v):
+            return np.clip(v, 0, idxg.sx)
+
+        def clip_y(v):
+            return np.clip(v, 0, idxg.sy)
+
+        m_cov_x = int(np.ceil((idxg.cw + a) / idxg.cw - eps))
+        m_cov_y = int(np.ceil((idxg.ch + b) / idxg.ch - eps))
+        m_in_x = int(np.floor(a / idxg.cw + eps))
+        m_in_y = int(np.floor(b / idxg.ch + eps))
+        cover = idxg.region_sums(cx, clip_x(ei + m_cov_x), cy, clip_y(ej + m_cov_y))[..., :-1]
+        full = idxg.region_sums(
+            clip_x(ei + 1), clip_x(ei + m_in_x), clip_y(ej + 1), clip_y(ej + m_in_y)
+        )[..., :-1]
+        v_lo, v_hi = idxg.prepared.bounds_from_sums(full, cover)
+        expected = lower_bound(v_lo, v_hi, qrep, w)
+        assert mi > 0 and mj > 0
+        assert np.array_equal(ii, ei) and np.array_equal(jj, ej)
+        assert np.array_equal(lbs, expected)
+
     def test_margin_cells_present(self):
         df, F, qrep, w, a, b = make_inputs(0)
         prob = build_asp(df, F, qrep, w, a, b)
@@ -171,6 +211,24 @@ class TestGIDS:
         assert (idxg.x0, idxg.y0, idxg.cw, idxg.ch) == (ref.x0, ref.y0, ref.cw, ref.ch)
         with pytest.raises(ValueError, match="index"):
             gi_ds(df, F, qrep, w, a, b, index=idxg)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_index_with_other_attribute_values_raises(self, seed):
+        """An index over the same objects, specs, count and grid, but with
+        the weekend ``day_of_week`` set to 0, used to answer with its
+        summaries (seed 0: 3.0 where DS-Search finds 0.2)."""
+        pdf = tweets_pdf(400, seed)
+        F = f1_aggregator()
+        a, b = query_size(pdf, 3.0)
+        qrep, w = f1_query(pdf, a, b)
+        other = pdf.assign(day_of_week=pdf["day_of_week"].where(pdf["day_of_week"] < 5, 0))
+        idxg = build_grid_index(other, F, 8, 8)
+        ref = build_grid_index(pdf, F, 8, 8)
+        assert (idxg.x0, idxg.y0, idxg.cw, idxg.ch) == (ref.x0, ref.y0, ref.cw, ref.ch)
+        with pytest.raises(ValueError, match="index"):
+            gi_ds(pdf, F, qrep, w, a, b, index=idxg)
+        assert gi_ds(pdf, F, qrep, w, a, b, index=ref)[0] == ds_search(
+            build_asp(pdf, F, qrep, w, a, b))[0]
 
     def test_stats_report_search_ratio(self):
         df, F, qrep, w, a, b = make_inputs(4)
@@ -316,3 +374,29 @@ class TestAdversarialGIDS:
         else:
             assert opt - 1e-8 <= got <= (1 + delta) * opt + 1e-8
         assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
+
+
+class TestQueryWorkCounts:
+    """Call-count guards on a query over a prebuilt index: the
+    query-independent work stays in the build."""
+
+    def test_index_query_prepares_nothing(self, monkeypatch):
+        """No ``F.prepare`` and, below the drop scale, no accuracy
+        measurement (two ``min_gap`` sorts per query before)."""
+        df, F, qrep, w, a, b = tweet_query()
+        idxg = build_grid_index(df, F, 8, 8)
+        calls = []
+
+        def counting(name, real):
+            def f(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return f
+
+        monkeypatch.setattr(
+            CompositeAggregator, "prepare", counting("prepare", CompositeAggregator.prepare))
+        monkeypatch.setattr(reduction, "min_gap", counting("min_gap", reduction.min_gap))
+        d, _, stats = gi_ds(df, F, qrep, w, a, b, index=idxg)
+        assert stats.drop_events == 0 and stats.cells_seen > 0
+        assert calls == []
+        assert d == gi_ds(df, F, qrep, w, a, b, sx=8, sy=8)[0]

@@ -93,12 +93,16 @@ class TestInputValidation:
 
 class TestRectangleGeneration:
     def test_top_right_corner_at_object(self):
+        """Rectangle ``k`` belongs to object ``order[k]``; the rectangles
+        are in ascending-x order."""
         df = fig2_objects()
         prob = build(df, a=1.5, b=0.8)
-        np.testing.assert_allclose(prob.x_hi, df["x"])
-        np.testing.assert_allclose(prob.y_hi, df["y"])
-        np.testing.assert_allclose(prob.x_lo, df["x"] - 1.5)
-        np.testing.assert_allclose(prob.y_lo, df["y"] - 0.8)
+        obj = df.iloc[prob.data.order]
+        np.testing.assert_allclose(prob.x_hi, obj["x"])
+        np.testing.assert_allclose(prob.y_hi, obj["y"])
+        np.testing.assert_allclose(prob.x_lo, obj["x"] - 1.5)
+        np.testing.assert_allclose(prob.y_lo, obj["y"] - 0.8)
+        assert (np.diff(prob.x_hi) >= 0).all()
 
     def test_space_is_rectangle_mbr(self):
         prob = build(fig2_objects(), a=1.5, b=0.8)
@@ -203,6 +207,35 @@ class TestProblemHelpers:
         # space touching a rectangle only at its edge is not an overlap
         idx = prob.overlapping(Space(5.4, 6.0, 0.0, 5.0))
         assert len(idx) == 0
+
+    @pytest.mark.parametrize("case", ["random", "edge_exact", "duplicate_x", "ulp_thin"])
+    def test_overlapping_equals_four_comparison_mask(self, case):
+        """The binary-searched slice plus the y-test selects exactly the
+        rectangles the four-comparison mask over all of them selects."""
+        rng = np.random.default_rng(7)
+        df = random_objects(rng, 200, lattice=0.5)
+        if case == "duplicate_x":
+            df = df.assign(x=np.round(df["x"] / 2.0) * 2.0)
+        prob = build(df, a=1.5, b=1.0)
+        s0 = prob.space
+        spaces = []
+        for _ in range(60):
+            if case == "random":
+                xs = np.sort(rng.uniform(s0.x0 - 1, s0.x1 + 1, 2))
+                ys = np.sort(rng.uniform(s0.y0 - 1, s0.y1 + 1, 2))
+            elif case == "ulp_thin":
+                x = float(rng.choice(np.r_[prob.x_lo, prob.x_hi]))
+                y = float(rng.choice(np.r_[prob.y_lo, prob.y_hi]))
+                xs, ys = (x, np.nextafter(x, np.inf)), (np.nextafter(y, -np.inf), y)
+            else:  # bounds on rectangle edges
+                xs = np.sort(rng.choice(np.r_[prob.x_lo, prob.x_hi], 2))
+                ys = np.sort(rng.choice(np.r_[prob.y_lo, prob.y_hi], 2))
+            spaces.append(Space(float(xs[0]), float(xs[1]), float(ys[0]), float(ys[1])))
+        for s in spaces:
+            mask = (
+                (prob.x_lo < s.x1) & (prob.x_hi > s.x0) & (prob.y_lo < s.y1) & (prob.y_hi > s.y0)
+            )
+            np.testing.assert_array_equal(prob.overlapping(s), np.flatnonzero(mask))
 
     def test_empty_dist_precomputed(self):
         prob = build(fig2_objects())
